@@ -19,6 +19,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -46,18 +47,26 @@ _SUBCOMMANDS = ("simulate", "equilibria", "verify", "cycles", "basin", "sweep")
 #: At most this many violations are embedded per report in JSON output.
 _MAX_JSON_VIOLATIONS = 100
 
-_DEFAULTS = {
-    "d1": 0.0,
-    "x0": None,
-    "y0": None,
-    "max_iter": None,  # regime-dependent, resolved at run time
-    "tol": None,
-    "grid_n": 64,
-    "samples": 100_000,
-    "seed": 0,
-    "stride": 1,
-    "out": None,
-    "format": None,  # subcommand's natural format
+#: argparse settings of every flag, keyed by its name with "_" for "-";
+#: --config files use the same keys.  max_iter/tol default to None
+#: (regime-dependent, resolved at run time) and format to None (the
+#: subcommand's natural format).
+_FLAGS = {
+    "alpha": {"type": float},
+    "beta": {"type": float},
+    "mu": {"type": float},
+    "d0": {"type": float},
+    "d1": {"type": float, "default": 0.0},
+    "x0": {"type": float},
+    "y0": {"type": float},
+    "max_iter": {"type": int},
+    "tol": {"type": float},
+    "grid_n": {"type": int, "default": 64},
+    "samples": {"type": int, "default": 100_000},
+    "seed": {"type": int, "default": 0},
+    "stride": {"type": int, "default": 1},
+    "out": {},
+    "format": {"choices": ("csv", "json")},
 }
 
 #: Iteration budgets when the user does not override them: convergence on the
@@ -88,32 +97,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """One parser for every subcommand; flags may come before or after it."""
     parser = _Parser(prog="mosqdyn", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
-    for name in _SUBCOMMANDS:
-        s = sub.add_parser(name)
-        s.add_argument("--config", help="JSON file with the same keys as the flags")
-        s.add_argument("--alpha", type=float)
-        s.add_argument("--beta", type=float)
-        s.add_argument("--mu", type=float)
-        s.add_argument("--d0", type=float)
-        s.add_argument("--d1", type=float)
-        s.add_argument("--x0", type=float)
-        s.add_argument("--y0", type=float)
-        s.add_argument("--max-iter", dest="max_iter", type=int)
-        s.add_argument("--tol", type=float)
-        s.add_argument("--grid-n", dest="grid_n", type=int)
-        s.add_argument("--samples", type=int)
-        s.add_argument("--seed", type=int)
-        s.add_argument("--stride", type=int)
-        s.add_argument("--out")
-        s.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("subcommand", nargs="?", choices=_SUBCOMMANDS)
+    parser.add_argument("--config", help="JSON file with the same keys as the flags")
+    for key, settings in _FLAGS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, **settings)
     return parser
 
 
-def _load_config(path: str) -> dict:
+def _config_tokens(path: str) -> list[str]:
+    """The JSON object in `path` as ``--flag=value`` tokens (null entries skipped)."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -123,37 +120,40 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"--config: {path} is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise UsageError(f"--config: {path} must hold a JSON object")
-    unknown = set(data) - set(_DEFAULTS) - {"alpha", "beta", "mu", "d0"}
+    unknown = set(data) - set(_FLAGS)
     if unknown:
         raise UsageError(f"--config: unknown keys {sorted(unknown)}")
-    return data
-
-
-def _merge(ns: argparse.Namespace, key: str, config: dict):
-    flag_value = getattr(ns, key, None)
-    if flag_value is not None:
-        return flag_value
-    if key in config and config[key] is not None:
-        return config[key]
-    return _DEFAULTS.get(key)
+    tokens = []
+    for key, value in data.items():
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise UsageError(f"--config: {key} must be a string or a number, "
+                             f"got {value!r}")
+        text = value if isinstance(value, str) else repr(value)
+        tokens.append(f"--{key.replace('_', '-')}={text}")
+    return tokens
 
 
 def parse_args(argv: list[str]) -> RunConfig:
     """Turn argv into a validated RunConfig; UsageError on any bad input."""
-    ns = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
+    if ns.config:
+        # config entries go first, so flags given in argv override them
+        tokens = _config_tokens(ns.config)
+        try:
+            ns = parser.parse_args([*tokens, *argv])
+        except UsageError as e:
+            raise UsageError(f"--config {ns.config}: {e}") from None
     if ns.subcommand is None:
         raise UsageError(f"a subcommand is required: {', '.join(_SUBCOMMANDS)}")
-    config = _load_config(ns.config) if ns.config else {}
-
-    def pick(key):
-        return _merge(ns, key, config)
 
     for key in ("alpha", "beta", "mu", "d0"):
-        if pick(key) is None:
+        if getattr(ns, key) is None:
             raise UsageError(f"--{key} is required (flag or config file)")
     try:
-        params = validate_params(pick("alpha"), pick("beta"), pick("mu"),
-                                 pick("d0"), pick("d1"))
+        params = validate_params(ns.alpha, ns.beta, ns.mu, ns.d0, ns.d1)
     except ParamError as e:
         raise UsageError(f"--{e.param}: {e}") from None
     if not params.w0_regime:
@@ -165,50 +165,45 @@ def parse_args(argv: list[str]) -> RunConfig:
             raise UsageError("--d0: must be positive (restricted regime)")
         raise UsageError("--alpha/--d0: alpha + d0 must be <= 1 (restricted regime)")
 
-    x0, y0 = pick("x0"), pick("y0")
     if ns.subcommand == "simulate":
-        if x0 is None or y0 is None:
+        if ns.x0 is None or ns.y0 is None:
             raise UsageError("--x0/--y0: simulate needs an initial point")
         try:
-            State(x0, y0)
+            State(ns.x0, ns.y0)
         except DomainError as e:
             raise UsageError(f"--x0/--y0: {e}") from None
 
-    max_iter, tol = pick("max_iter"), pick("tol")
-    if max_iter is not None and int(max_iter) < 1:
-        raise UsageError(f"--max-iter: must be >= 1, got {max_iter}")
-    if tol is not None and not float(tol) > 0.0:
-        raise UsageError(f"--tol: must be positive, got {tol}")
-    grid_n, n_samples = int(pick("grid_n")), int(pick("samples"))
-    seed, stride = int(pick("seed")), int(pick("stride"))
-    if grid_n < 1:
-        raise UsageError(f"--grid-n: must be >= 1, got {grid_n}")
-    if n_samples < 0:
-        raise UsageError(f"--samples: must be >= 0, got {n_samples}")
-    if seed < 0:
-        raise UsageError(f"--seed: must be >= 0, got {seed}")
-    if stride < 1:
-        raise UsageError(f"--stride: must be >= 1, got {stride}")
+    if ns.max_iter is not None and ns.max_iter < 1:
+        raise UsageError(f"--max-iter: must be >= 1, got {ns.max_iter}")
+    if ns.tol is not None and not ns.tol > 0.0:
+        raise UsageError(f"--tol: must be positive, got {ns.tol}")
+    if ns.grid_n < 1:
+        raise UsageError(f"--grid-n: must be >= 1, got {ns.grid_n}")
+    if ns.samples < 0:
+        raise UsageError(f"--samples: must be >= 0, got {ns.samples}")
+    if ns.seed < 0:
+        raise UsageError(f"--seed: must be >= 0, got {ns.seed}")
+    if ns.stride < 1:
+        raise UsageError(f"--stride: must be >= 1, got {ns.stride}")
 
-    fmt = pick("format")
-    natural = "csv" if ns.subcommand in _CSV_SUBCOMMANDS else "json"
+    fmt = ns.format
     if fmt is None:
-        fmt = natural
+        fmt = "csv" if ns.subcommand in _CSV_SUBCOMMANDS else "json"
     if fmt == "csv" and ns.subcommand not in _CSV_SUBCOMMANDS:
         raise UsageError(f"--format: csv is not available for '{ns.subcommand}'")
 
     return RunConfig(
         subcommand=ns.subcommand,
         params=params,
-        x0=None if x0 is None else float(x0),
-        y0=None if y0 is None else float(y0),
-        max_iter=None if max_iter is None else int(max_iter),
-        tol=None if tol is None else float(tol),
-        grid_n=grid_n,
-        n_samples=n_samples,
-        seed=seed,
-        stride=stride,
-        out=pick("out"),
+        x0=ns.x0,
+        y0=ns.y0,
+        max_iter=ns.max_iter,
+        tol=ns.tol,
+        grid_n=ns.grid_n,
+        n_samples=ns.samples,
+        seed=ns.seed,
+        stride=ns.stride,
+        out=ns.out,
         fmt=fmt,
     )
 

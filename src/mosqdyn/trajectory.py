@@ -1,12 +1,14 @@
 """Orbit iteration, limit classification, and basin rasters.
 
-Inside the trapping rectangle every orbit settles onto a fixed point: the
-origin when beta sits on the persistence threshold, the positive fixed
-point when beta exceeds it.  The iterator detects that numerically (step
-size below tol while sitting within 10*tol of a known fixed point), watches
-for the one theoretical escape channel (adult density persistently above
-alpha/mu while larvae blow past the rectangle), and otherwise reports its
-budget ran out -- Undetermined is a first-class outcome, never coerced.
+Every orbit in the positive quadrant settles onto a fixed point: the origin
+when beta sits on or below the persistence threshold, the positive fixed
+point when beta exceeds it.  Starts with adult density above alpha/mu fall
+below it in finitely many steps (see ``escape_probe``), so no orbit escapes.
+The iterator detects convergence numerically (step size below tol while
+sitting within NEAR_FACTOR*tol of a known fixed point) and otherwise
+reports its budget ran out.  Undetermined is a first-class outcome, never
+coerced: it is also the answer when the point sits that near to both fixed
+points at once.
 """
 
 from __future__ import annotations
@@ -23,17 +25,16 @@ from .equilibria import beta_vs_threshold, regime_quantities
 from .errors import DomainError
 from .geometry import RegionLabel, omega_bounds, region_of
 
-#: An orbit exiting the rectangle by this factor in x (with y persistently
-#: above alpha/mu) is treated as escaping; a finite sentinel for an
-#: unboundedness claim.
-ESCAPE_BOUND_FACTOR = 10.0
-
 #: "Near a fixed point" means within this multiple of tol, max norm.
 NEAR_FACTOR = 10.0
 
 
 class OmegaLimitClass(enum.IntEnum):
-    """Limit classification; integer values double as raster codes."""
+    """Limit classification; integer values double as raster codes.
+
+    ESCAPE_X_UNBOUNDED is a reserved code that no classifier produces: with
+    d0 > 0 no orbit escapes.
+    """
 
     CONVERGED_TO_ORIGIN = 0
     CONVERGED_TO_POSITIVE_FIXED_POINT = 1
@@ -90,14 +91,15 @@ def _fixed_points(p: Params) -> list[tuple[float, float, OmegaLimitClass]]:
 
 def iterate(p: Params, z0: State, max_iter: int, tol: float,
             stride: int = 1) -> TrajectoryReport:
-    """Iterate from z0 until convergence, escape, or budget exhaustion.
+    """Iterate from z0 until convergence or budget exhaustion.
 
     Samples (n, state, phi, region) are recorded at n = 0, every stride-th
     committed step, and at the final state.  Convergence is declared when
     the next step would move less than tol (max norm) while the current
-    state sits within 10*tol of a known fixed point; the classification
-    follows that fixed point and the probed step is not committed, so a
-    start exactly on a fixed point reports 0 iterations.
+    state sits within NEAR_FACTOR*tol of a known fixed point; the
+    classification follows that fixed point (UNDETERMINED when it is near
+    both) and the probed step is not committed, so a start exactly on a
+    fixed point reports 0 iterations.
     """
     require_w0(p)
     if tol <= 0.0:
@@ -105,8 +107,6 @@ def iterate(p: Params, z0: State, max_iter: int, tol: float,
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     fps = _fixed_points(p)
-    y_cap = p.alpha / p.mu
-    escape_x = ESCAPE_BOUND_FACTOR * omega_bounds(p).x_max
     near = NEAR_FACTOR * tol
 
     def make_sample(n: int, x: float, y: float) -> TrajectorySample:
@@ -115,7 +115,6 @@ def iterate(p: Params, z0: State, max_iter: int, tol: float,
 
     x, y = z0.x, z0.y
     used = 0
-    y_above = y > y_cap
     samples = [make_sample(0, x, y)]
     limit = OmegaLimitClass.UNDETERMINED
     while used < max_iter:
@@ -124,17 +123,12 @@ def iterate(p: Params, z0: State, max_iter: int, tol: float,
             hit = None
             for fx, fy, cls in fps:
                 if max(abs(x - fx), abs(y - fy)) <= near:
-                    hit = cls
-                    break
+                    hit = cls if hit is None else OmegaLimitClass.UNDETERMINED
             if hit is not None:
                 limit = hit
                 break
         x, y = xn, yn
         used += 1
-        y_above = y_above and (y > y_cap)
-        if y_above and x > escape_x:
-            limit = OmegaLimitClass.ESCAPE_X_UNBOUNDED
-            break
         if used % stride == 0:
             samples.append(make_sample(used, x, y))
     if samples[-1].n != used:
@@ -188,36 +182,35 @@ def classify_batch(p: Params, x0: np.ndarray, y0: np.ndarray, max_iter: int,
     """
     require_w0(p)
     fps = _fixed_points(p)
-    y_cap = p.alpha / p.mu
-    escape_x = ESCAPE_BOUND_FACTOR * omega_bounds(p).x_max
     near = NEAR_FACTOR * tol
+    # (class, fixed points) in stopping order: a converging lane takes the
+    # first class whose fixed points all lie within `near` of it.
+    targets = [(cls, [(fx, fy)]) for fx, fy, cls in fps]
+    if len(fps) == 2 and max(fps[1][0], fps[1][1]) <= 2.0 * near:
+        # the near-balls overlap; lanes near both are UNDETERMINED, as in iterate
+        targets.insert(0, (OmegaLimitClass.UNDETERMINED, [fp[:2] for fp in fps]))
 
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0, dtype=float).copy()
     codes = np.full(x.shape, int(OmegaLimitClass.UNDETERMINED), dtype=np.int8)
     iters = np.full(x.shape, max_iter, dtype=np.int64)
     done = np.zeros(x.shape, dtype=bool)
-    y_above = y > y_cap
     it = 0
     while it < max_iter and not done.all():
         xn, yn = step_w0_raw(p, x, y)
         xn = np.where(xn < 0.0, 0.0, xn)  # rounding-noise clamp
         yn = np.where(yn < 0.0, 0.0, yn)
         small = np.maximum(np.abs(xn - x), np.abs(yn - y)) < tol
-        for fx, fy, cls in fps:
-            hit = (~done & small
-                   & (np.maximum(np.abs(x - fx), np.abs(y - fy)) <= near))
+        for cls, pts in targets:
+            hit = ~done & small
+            for fx, fy in pts:
+                hit &= np.maximum(np.abs(x - fx), np.abs(y - fy)) <= near
             codes[hit] = int(cls)
             iters[hit] = it
             done |= hit
         x = np.where(done, x, xn)
         y = np.where(done, y, yn)
         it += 1
-        y_above &= done | (y > y_cap)
-        escaped = ~done & y_above & (x > escape_x)
-        codes[escaped] = int(OmegaLimitClass.ESCAPE_X_UNBOUNDED)
-        iters[escaped] = it
-        done |= escaped
     return codes, iters, x, y
 
 

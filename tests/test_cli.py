@@ -76,6 +76,26 @@ class TestParseArgs:
         with pytest.raises(UsageError, match="bogus"):
             parse_args(["verify", "--config", str(cfg_file)])
 
+    @pytest.mark.parametrize("entry,flag", [
+        ({"grid_n": "abc"}, "--grid-n"),
+        ({"tol": "x"}, "--tol"),
+        ({"max_iter": 2.7}, "--max-iter"),
+        ({"format": "xml"}, "--format"),
+        ({"seed": True}, "seed"),
+        ({"samples": [10]}, "samples"),
+    ])
+    def test_config_values_get_flag_checks(self, tmp_path, entry, flag):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(
+            {"alpha": 0.5, "beta": 2.0, "mu": 0.8, "d0": 0.3, **entry}))
+        with pytest.raises(UsageError, match=flag):
+            parse_args(["basin", "--config", str(cfg_file)])
+
+    def test_flags_may_precede_the_subcommand(self):
+        argv = ["--samples", "10", "--seed", "3"]
+        assert (parse_args([*P0_FLAGS, "verify", *argv])
+                == parse_args(["verify", *P0_FLAGS, *argv]))
+
     def test_parse_is_deterministic(self):
         argv = ["verify", *P0_FLAGS, "--samples", "10", "--seed", "3"]
         assert parse_args(argv) == parse_args(argv)
@@ -95,6 +115,17 @@ class TestSimulate:
         last = lines[-1].split(",")
         assert float(last[1]) == pytest.approx(1.5, abs=1e-6)
         assert float(last[2]) == pytest.approx(0.375, abs=1e-6)
+
+    def test_start_far_above_the_rectangle_converges(self, capsys):
+        y0 = 1e3 * 0.5 / 0.8  # 1e3 * alpha/mu
+        status = run(parse_args(
+            ["simulate", *P0_FLAGS, "--x0", "1", "--y0", repr(y0),
+             "--stride", "100000"]
+        ))
+        last = capsys.readouterr().out.strip().split("\n")[-1].split(",")
+        assert status == 0
+        # converged: within NEAR_FACTOR*tol of (x*, y*) at the default tol 1e-8
+        assert max(abs(float(last[1]) - 1.5), abs(float(last[2]) - 0.375)) <= 1e-7
 
     def test_json_mirror(self, capsys):
         status = run(parse_args(

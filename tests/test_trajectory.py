@@ -75,6 +75,63 @@ class TestIterate:
             iterate(P0, State(0.1, 0.1), 10, 1e-8, stride=0)
 
 
+class TestLargeAdultStarts:
+    """Starts far above alpha/mu still converge (README, "The escape probe")."""
+
+    def test_reference_start_reaches_positive_fixed_point(self):
+        rep = iterate(P0, State(0.0, 100.0), 10**6, 1e-8)
+        assert rep.limit is OmegaLimitClass.CONVERGED_TO_POSITIVE_FIXED_POINT
+        assert max(abs(rep.final.x - 1.5), abs(rep.final.y - 0.375)) <= 1e-7
+
+    def test_random_tuples_reach_positive_fixed_point(self):
+        rng = make_rng(88)
+        for _ in range(20):
+            p = sample_w0_params(rng, "above")
+            rq = regime_quantities(p)
+            x0 = float(rng.uniform(0.0, omega_bounds(p).x_max))
+            rep = iterate(p, State(x0, 1e3 * p.alpha / p.mu), 10**6, 1e-8)
+            assert rep.limit is OmegaLimitClass.CONVERGED_TO_POSITIVE_FIXED_POINT
+            assert max(abs(rep.final.x - rq.x_star),
+                       abs(rep.final.y - rq.y_star)) <= 1e-7
+
+    def test_batch_matches_scalar_iterate_on_large_y_lanes(self):
+        rng = make_rng(89)
+        for p in (P0, sample_w0_params(rng, "above")):
+            xs = rng.uniform(0.0, omega_bounds(p).x_max, 10)
+            ys = 1e3 * (p.alpha / p.mu) * rng.uniform(1.0, 1.1, 10)
+            codes, iters, fx, fy = classify_batch(p, xs, ys, 10**6, 1e-8)
+            for i in range(xs.size):
+                rep = iterate(p, State(float(xs[i]), float(ys[i])), 10**6, 1e-8,
+                              stride=10**6)
+                assert rep.limit is OmegaLimitClass.CONVERGED_TO_POSITIVE_FIXED_POINT
+                assert OmegaLimitClass(int(codes[i])) is rep.limit
+                assert int(iters[i]) == rep.iterations_used
+                assert float(fx[i]) == rep.final.x
+                assert float(fy[i]) == rep.final.y
+
+
+class TestAmbiguousLimit:
+    """Within NEAR_FACTOR*tol of both fixed points the limit is undetermined."""
+
+    # beta 5e-10 above the threshold 1.28 puts (x*, y*) near (1e-9, 6.5e-10)
+    P_NEAR = validate_params(0.5, 0.8 * (1.0 + 0.3 / 0.5) + 5e-10, 0.8, 0.3, 0.0)
+    XS = np.array([3e-8, 1e-9, 5e-8])
+    YS = np.array([2e-8, 4e-8, 1e-9])
+
+    def test_scalar_and_batch_report_undetermined(self):
+        rq = regime_quantities(self.P_NEAR)
+        assert 0.0 < rq.x_star < 1e-8 and 0.0 < rq.y_star < 1e-8
+        codes, iters, fx, fy = classify_batch(self.P_NEAR, self.XS, self.YS,
+                                              1000, 1e-8)
+        for i in range(self.XS.size):
+            rep = iterate(self.P_NEAR, State(self.XS[i], self.YS[i]), 1000, 1e-8)
+            assert rep.limit is OmegaLimitClass.UNDETERMINED
+            assert rep.iterations_used < 1000
+            assert int(codes[i]) == 3
+            assert int(iters[i]) == rep.iterations_used
+            assert (float(fx[i]), float(fy[i])) == (rep.final.x, rep.final.y)
+
+
 class TestOrbitProperties:
     def _orbit(self, p, z0, n):
         x, y = z0
