@@ -157,10 +157,32 @@ def step_w0_raw(p: Params, x, y):
 
     No domain checks and no clamping; internal iteration loops use this and
     apply their own handling.  The operation sequence matches step_general
-    with d1 = 0 exactly, so the two agree bit-for-bit there.
+    with d1 = 0 exactly, so the two agree bit-for-bit there; step_w0_into
+    repeats it for preallocated arrays and must keep doing so.
     """
     em = p.alpha * x / (1.0 + x)
     return p.beta * y - em - p.d0 * x + x, em - p.mu * y + y
+
+
+def step_w0_into(p: Params, x: np.ndarray, y: np.ndarray, xn: np.ndarray,
+                 yn: np.ndarray, em: np.ndarray) -> None:
+    """step_w0_raw written into preallocated float arrays xn, yn.
+
+    em is scratch of the same shape.  Every operation and its order match
+    step_w0_raw, so the two agree bit for bit; loops that step the same
+    lanes many times use this form to allocate nothing per step.
+    """
+    np.multiply(p.alpha, x, out=em)
+    np.add(1.0, x, out=xn)
+    np.divide(em, xn, out=em)
+    np.multiply(p.beta, y, out=xn)
+    np.subtract(xn, em, out=xn)
+    np.multiply(p.d0, x, out=yn)
+    np.subtract(xn, yn, out=xn)
+    np.add(xn, x, out=xn)
+    np.multiply(p.mu, y, out=yn)
+    np.subtract(em, yn, out=yn)
+    np.add(yn, y, out=yn)
 
 
 def step_w0_floats(p: Params, x: float, y: float) -> tuple[float, float]:

@@ -92,7 +92,11 @@ def omega_bounds(p: Params) -> RegionBounds:
 
 def region_of(p: Params, z: State) -> RegionLabel:
     """Label of the region containing z; total on the positive quadrant."""
-    b = omega_bounds(p)
+    return _region_in(omega_bounds(p), z)
+
+
+def _region_in(b: RegionBounds, z: State) -> RegionLabel:
+    """region_of with the bounds already looked up, for per-sample callers."""
     if z.x > b.x_max or z.y > b.y_max:
         return RegionLabel.OUTSIDE_OMEGA
     if b.x_star is None:

@@ -20,13 +20,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _sampling
-from .core import Params, State, require_w0, step_w0_floats, step_w0_raw
+from .core import (
+    Params,
+    State,
+    _clamp,
+    require_w0,
+    step_w0_floats,
+    step_w0_into,
+    step_w0_raw,
+)
 from .equilibria import beta_vs_threshold, regime_quantities
 from .errors import DomainError
-from .geometry import RegionLabel, omega_bounds, region_of
+from .geometry import RegionLabel, _region_in, omega_bounds
 
 #: "Near a fixed point" means within this multiple of tol, max norm.
 NEAR_FACTOR = 10.0
+
+#: `classify_batch` runs the scalar lane loop on batches of at most this many
+#: lanes and the vector loop on wider ones.  The two cost the same at about
+#: 48 lanes on threshold orbits and about 70 on P0 orbits (2-core x86 host):
+#: below that, numpy's per-call dispatch outweighs the lanes' arithmetic.
+NARROW_LANES = 48
 
 
 class OmegaLimitClass(enum.IntEnum):
@@ -80,13 +94,38 @@ class BasinRaster:
     codes: np.ndarray
 
 
-def _fixed_points(p: Params) -> list[tuple[float, float, OmegaLimitClass]]:
+def _stopping_rule(p: Params, tol: float):
+    """Validated (fixed points, near radius) of the stopping rule."""
+    require_w0(p)
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     rq = regime_quantities(p)
     fps = [(0.0, 0.0, OmegaLimitClass.CONVERGED_TO_ORIGIN)]
     if rq.x_star is not None:
         fps.append((rq.x_star, rq.y_star,
                     OmegaLimitClass.CONVERGED_TO_POSITIVE_FIXED_POINT))
-    return fps
+    return fps, NEAR_FACTOR * tol
+
+
+def _run_lane(p: Params, x: float, y: float, n: int, tol: float, fps, near):
+    """At most n steps of one orbit under the stopping rule of `iterate`.
+
+    Returns (limit, steps committed, x, y); limit is None when all n steps
+    were committed without a stop.
+    """
+    for k in range(n):
+        xn, yn = step_w0_raw(p, x, y)
+        if xn < 0.0 or yn < 0.0:
+            xn, yn = _clamp(xn), _clamp(yn)
+        if abs(xn - x) < tol and abs(yn - y) < tol:
+            hit = None
+            for fx, fy, cls in fps:
+                if abs(x - fx) <= near and abs(y - fy) <= near:
+                    hit = cls if hit is None else OmegaLimitClass.UNDETERMINED
+            if hit is not None:
+                return hit, k, x, y
+        x, y = xn, yn
+    return None, n, x, y
 
 
 def iterate(p: Params, z0: State, max_iter: int, tol: float,
@@ -99,36 +138,29 @@ def iterate(p: Params, z0: State, max_iter: int, tol: float,
     state sits within NEAR_FACTOR*tol of a known fixed point; the
     classification follows that fixed point (UNDETERMINED when it is near
     both) and the probed step is not committed, so a start exactly on a
-    fixed point reports 0 iterations.
+    fixed point reports 0 iterations.  The steps run in the scalar lane
+    loop of narrow `classify_batch` calls, stride steps at a time.
     """
-    require_w0(p)
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    fps, near = _stopping_rule(p, tol)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    fps = _fixed_points(p)
-    near = NEAR_FACTOR * tol
+    bounds = omega_bounds(p)
 
     def make_sample(n: int, x: float, y: float) -> TrajectorySample:
         st = State(x, y)
-        return TrajectorySample(n, st, p.mu * x + p.beta * y, region_of(p, st))
+        return TrajectorySample(n, st, p.mu * x + p.beta * y, _region_in(bounds, st))
 
     x, y = z0.x, z0.y
     used = 0
     samples = [make_sample(0, x, y)]
     limit = OmegaLimitClass.UNDETERMINED
     while used < max_iter:
-        xn, yn = step_w0_floats(p, x, y)
-        if max(abs(xn - x), abs(yn - y)) < tol:
-            hit = None
-            for fx, fy, cls in fps:
-                if max(abs(x - fx), abs(y - fy)) <= near:
-                    hit = cls if hit is None else OmegaLimitClass.UNDETERMINED
-            if hit is not None:
-                limit = hit
-                break
-        x, y = xn, yn
-        used += 1
+        hit, k, x, y = _run_lane(p, x, y, min(stride, max_iter - used), tol,
+                                 fps, near)
+        used += k
+        if hit is not None:
+            limit = hit
+            break
         if used % stride == 0:
             samples.append(make_sample(used, x, y))
     if samples[-1].n != used:
@@ -177,41 +209,98 @@ def classify_batch(p: Params, x0: np.ndarray, y0: np.ndarray, max_iter: int,
                    tol: float):
     """Vectorized limit classification; same stopping rule as `iterate`.
 
-    Returns (codes, iterations, final_x, final_y) arrays.  Used by the basin
-    raster and anywhere many initial points share a budget.
+    Returns (codes, iterations, final_x, final_y) arrays (int8, int64,
+    float64, float64) in the input's shape.  Batches of at most NARROW_LANES
+    lanes run `iterate`'s scalar loop once per lane, because per-step numpy
+    dispatch would cost more than the arithmetic; wider batches run one
+    vector loop over all lanes.  Every lane gets the same bytes from either
+    loop, so the output does not depend on the batch width.  Starts must be
+    finite and nonnegative, as for `State`.
     """
-    require_w0(p)
-    fps = _fixed_points(p)
-    near = NEAR_FACTOR * tol
-    # (class, fixed points) in stopping order: a converging lane takes the
-    # first class whose fixed points all lie within `near` of it.
-    targets = [(cls, [(fx, fy)]) for fx, fy, cls in fps]
-    if len(fps) == 2 and max(fps[1][0], fps[1][1]) <= 2.0 * near:
-        # the near-balls overlap; lanes near both are UNDETERMINED, as in iterate
-        targets.insert(0, (OmegaLimitClass.UNDETERMINED, [fp[:2] for fp in fps]))
-
-    x = np.asarray(x0, dtype=float).copy()
-    y = np.asarray(y0, dtype=float).copy()
+    fps, near = _stopping_rule(p, tol)
+    x = np.array(x0, dtype=float)
+    y = np.array(y0, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"x0 and y0 differ in shape: {x.shape} vs {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("starts must be finite")
+    if (x < 0.0).any() or (y < 0.0).any():
+        raise DomainError("starts must be nonnegative")
     codes = np.full(x.shape, int(OmegaLimitClass.UNDETERMINED), dtype=np.int8)
     iters = np.full(x.shape, max_iter, dtype=np.int64)
-    done = np.zeros(x.shape, dtype=bool)
-    it = 0
-    while it < max_iter and not done.all():
-        xn, yn = step_w0_raw(p, x, y)
-        xn = np.where(xn < 0.0, 0.0, xn)  # rounding-noise clamp
-        yn = np.where(yn < 0.0, 0.0, yn)
-        small = np.maximum(np.abs(xn - x), np.abs(yn - y)) < tol
-        for cls, pts in targets:
-            hit = ~done & small
-            for fx, fy in pts:
-                hit &= np.maximum(np.abs(x - fx), np.abs(y - fy)) <= near
-            codes[hit] = int(cls)
-            iters[hit] = it
-            done |= hit
-        x = np.where(done, x, xn)
-        y = np.where(done, y, yn)
-        it += 1
+    flat = (codes.reshape(-1), iters.reshape(-1), x.reshape(-1), y.reshape(-1))
+    if x.size > NARROW_LANES:
+        _classify_wide(p, max_iter, tol, fps, near, *flat)
+    else:
+        lane_codes, lane_iters, lane_x, lane_y = flat
+        for i in range(x.size):
+            hit, lane_iters[i], lane_x[i], lane_y[i] = _run_lane(
+                p, float(lane_x[i]), float(lane_y[i]), max_iter, tol, fps, near)
+            if hit is not None:
+                lane_codes[i] = hit
     return codes, iters, x, y
+
+
+def _classify_wide(p, max_iter, tol, fps, near, codes, iters, fx, fy) -> None:
+    """The stopping rule over all lanes at once, allocating nothing per step.
+
+    fx, fy hold the starts on entry and the final states on return.  A lane
+    that stops is recorded, then set to NaN: NaN never moves less than tol,
+    is never near a fixed point and is skipped by the fmin clamp check, so
+    stopped lanes drop out of every per-step test without compaction.
+    """
+    n = fx.size
+    x, y = fx.copy(), fy.copy()
+    xn, yn, em, d, e = (np.empty(n) for _ in range(5))
+    small, hit = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    near_fp = [np.empty(n, dtype=bool) for _ in fps]
+    live = np.ones(n, dtype=bool)
+    for it in range(max_iter):
+        step_w0_into(p, x, y, xn, yn, em)
+        lo = min(np.fmin.reduce(xn), np.fmin.reduce(yn))
+        if lo < 0.0:
+            _clamp(lo)  # raises beyond CLAMP_TOL, as the scalar loop does
+            np.copyto(xn, 0.0, where=xn < 0.0)
+            np.copyto(yn, 0.0, where=yn < 0.0)
+        np.subtract(xn, x, out=d)
+        np.abs(d, out=d)
+        np.subtract(yn, y, out=e)
+        np.abs(e, out=e)
+        np.maximum(d, e, out=d)
+        np.less(d, tol, out=small)
+        if small.any():
+            hit.fill(False)
+            for (fpx, fpy, _), mk in zip(fps, near_fp):
+                if fpx == 0.0 and fpy == 0.0:
+                    np.maximum(x, y, out=d)  # |x - 0| = x: lanes stay >= 0
+                else:
+                    np.subtract(x, fpx, out=d)
+                    np.abs(d, out=d)
+                    np.subtract(y, fpy, out=e)
+                    np.abs(e, out=e)
+                    np.maximum(d, e, out=d)
+                np.less_equal(d, near, out=mk)
+                np.logical_or(hit, mk, out=hit)
+            np.logical_and(hit, small, out=hit)
+            if hit.any():
+                for (_, _, cls), mk in zip(fps, near_fp):
+                    np.logical_and(mk, hit, out=mk)
+                    np.copyto(codes, int(cls), where=mk)
+                if len(near_fp) == 2:
+                    np.logical_and(*near_fp, out=small)  # near both fixed points
+                    np.copyto(codes, int(OmegaLimitClass.UNDETERMINED), where=small)
+                np.copyto(iters, it, where=hit)
+                np.copyto(fx, x, where=hit)
+                np.copyto(fy, y, where=hit)
+                np.copyto(live, False, where=hit)
+                if not live.any():
+                    return
+                np.copyto(xn, np.nan, where=hit)
+                np.copyto(yn, np.nan, where=hit)
+        x, xn = xn, x
+        y, yn = yn, y
+    np.copyto(fx, x, where=live)
+    np.copyto(fy, y, where=live)
 
 
 def basin_raster(p: Params, grid_n: int, max_iter: int, tol: float) -> BasinRaster:
@@ -220,7 +309,10 @@ def basin_raster(p: Params, grid_n: int, max_iter: int, tol: float) -> BasinRast
     Row index follows y, column index follows x, both ascending from 0, so
     codes[i, j] is the limit class of the initial point (xs[j], ys[i]).
     Rows are processed in deterministic chunks (MOSQDYN_THREADS caps the
-    fan-out) and written back by index.
+    fan-out) and written back by index.  A chunk of at most NARROW_LANES
+    lattice points runs one scalar loop per point, which holds the
+    interpreter lock, so MOSQDYN_THREADS speeds up only wider chunks.  The
+    codes are the same bytes for every chunk width and thread count.
     """
     require_w0(p)
     b = omega_bounds(p)

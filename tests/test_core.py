@@ -5,7 +5,7 @@ import pytest
 
 from conftest import P0, make_rng, sample_w0_params
 from mosqdyn import State, emergence_response, step_general, step_w0, validate_params
-from mosqdyn.core import CLAMP_TOL, _clamp, step_w0_batch
+from mosqdyn.core import CLAMP_TOL, _clamp, step_w0_batch, step_w0_into, step_w0_raw
 from mosqdyn.errors import (
     DomainError,
     NegativeDeathError,
@@ -152,6 +152,19 @@ class TestStepW0:
             xp, yp = step_w0_batch(p, xs, ys)  # raises if < -1e-12 anywhere
             assert np.all(xp >= 0.0)
             assert np.all(yp >= 0.0)
+
+    def test_out_form_matches_raw_bit_for_bit(self):
+        rng = make_rng(14)
+        for _ in range(50):
+            p = sample_w0_params(rng, "at_or_above")
+            xs = np.concatenate([[0.0, 1e-300], rng.uniform(0.0, 1e3, 200),
+                                 rng.uniform(0.0, 1e-6, 50)])
+            ys = rng.permutation(xs)
+            xn, yn, em = np.empty_like(xs), np.empty_like(xs), np.empty_like(xs)
+            step_w0_into(p, xs, ys, xn, yn, em)
+            rx, ry = step_w0_raw(p, xs, ys)
+            assert xn.tobytes() == rx.tobytes()
+            assert yn.tobytes() == ry.tobytes()
 
     def test_clamp_tolerance(self):
         assert _clamp(-0.5 * CLAMP_TOL) == 0.0

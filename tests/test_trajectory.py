@@ -14,9 +14,10 @@ from mosqdyn import (
     regime_quantities,
     validate_params,
 )
-from mosqdyn.core import step_w0_floats
+from mosqdyn import trajectory
+from mosqdyn.core import CLAMP_TOL, step_w0_floats
 from mosqdyn.errors import DomainError
-from mosqdyn.trajectory import classify_batch
+from mosqdyn.trajectory import NARROW_LANES, classify_batch
 
 
 class TestIterate:
@@ -237,6 +238,97 @@ class TestClassifyBatch:
                 assert int(iters[i]) == rep.iterations_used
                 assert float(fx[i]) == rep.final.x
                 assert float(fy[i]) == rep.final.y
+
+
+def _lanes(case, width, rng):
+    """(p, xs, ys, max_iter, tol) for one identity case at the given width."""
+    p, max_iter, tol = {
+        "p0": (P0, 20_000, 1e-8),
+        "boundary": (P_BOUNDARY, 200_000, 1e-4),
+        "ambiguous": (TestAmbiguousLimit.P_NEAR, 1000, 1e-8),
+        "large_y": (P0, 10**6, 1e-8),
+        "budget": (P0, 60, 1e-8),
+    }[case]
+    xs, ys = sample_omega_points(p, rng, width)
+    if case == "ambiguous":
+        xs, ys = rng.uniform(0.0, 6e-8, width), rng.uniform(0.0, 6e-8, width)
+    elif case == "large_y":
+        ys = 1e3 * (p.alpha / p.mu) * rng.uniform(1.0, 1.1, width)
+    return p, xs, ys, max_iter, tol
+
+
+#: Lane counts on both sides of the narrow/wide switch, plus a wide 2-D grid.
+WIDTHS = {1: (1, 1), NARROW_LANES: (1, NARROW_LANES),
+          NARROW_LANES + 1: (NARROW_LANES + 1, 1), 260: (20, 13)}
+
+
+class TestClassifyBatchWidths:
+    @pytest.mark.parametrize("width", list(WIDTHS))
+    @pytest.mark.parametrize("case", ["p0", "boundary", "ambiguous", "large_y", "budget"])
+    def test_every_width_matches_scalar_iterate(self, case, width):
+        p, xs, ys, max_iter, tol = _lanes(case, width, make_rng(90 + width))
+        shape = WIDTHS[width]
+        codes, iters, fx, fy = classify_batch(p, xs.reshape(shape), ys.reshape(shape),
+                                              max_iter, tol)
+        for a, dtype in ((codes, np.int8), (iters, np.int64), (fx, np.float64),
+                         (fy, np.float64)):
+            assert a.shape == shape and a.dtype == dtype
+        for i in range(width):
+            rep = iterate(p, State(float(xs[i]), float(ys[i])), max_iter, tol,
+                          stride=max_iter)
+            assert OmegaLimitClass(int(codes.flat[i])) is rep.limit
+            assert int(iters.flat[i]) == rep.iterations_used
+            assert float(fx.flat[i]) == rep.final.x
+            assert float(fy.flat[i]) == rep.final.y
+
+    @pytest.mark.parametrize("x0, y0", [(-1.0, 0.5), (np.nan, 0.5), (1.0, np.inf)],
+                             ids=["negative", "nan", "inf"])
+    def test_starts_are_checked_like_state(self, x0, y0):
+        with pytest.raises(DomainError):
+            State(x0, y0)
+        with pytest.raises(DomainError):
+            classify_batch(P0, [1.0, x0], [0.5, y0], 10, 1e-8)
+
+    def test_tol_must_be_positive(self):
+        with pytest.raises(ValueError):
+            classify_batch(P0, [1.0], [0.5], 10, 0.0)
+
+
+class TestOneClampRule:
+    """Every loop clamps rounding-noise negatives to 0 and raises beyond."""
+
+    @staticmethod
+    def _substitute_map(monkeypatch, x_image):
+        def raw(p, x, y):
+            return x_image + 0.0 * x, 0.5 * y
+
+        def into(p, x, y, xn, yn, em):
+            xn[...], yn[...] = raw(p, x, y)
+
+        monkeypatch.setattr(trajectory, "step_w0_raw", raw)
+        monkeypatch.setattr(trajectory, "step_w0_into", into)
+
+    def test_noise_is_clamped_in_every_loop(self, monkeypatch):
+        self._substitute_map(monkeypatch, -0.5 * CLAMP_TOL)
+        rep = iterate(P0, State(1.0, 0.5), 1000, 1e-8)
+        assert rep.limit is OmegaLimitClass.CONVERGED_TO_ORIGIN
+        assert rep.final.x == 0.0
+        for width in (1, NARROW_LANES + 1):
+            codes, iters, fx, fy = classify_batch(
+                P0, np.full(width, 1.0), np.full(width, 0.5), 1000, 1e-8)
+            assert np.all(codes == int(rep.limit))
+            assert np.all(iters == rep.iterations_used)
+            assert np.all(fx == 0.0) and not np.signbit(fx).any()
+            assert np.all(fy == rep.final.y)
+
+    def test_beyond_tolerance_raises_in_every_loop(self, monkeypatch):
+        self._substitute_map(monkeypatch, -10.0 * CLAMP_TOL)
+        with pytest.raises(DomainError):
+            iterate(P0, State(1.0, 0.5), 1000, 1e-8)
+        for width in (1, NARROW_LANES + 1):
+            with pytest.raises(DomainError):
+                classify_batch(P0, np.full(width, 1.0), np.full(width, 0.5),
+                               1000, 1e-8)
 
 
 class TestBasinRaster:
