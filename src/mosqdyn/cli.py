@@ -9,6 +9,12 @@ cycles      no-cycle certificate plus brute-force search results; JSON
 basin       limit-class raster over the trapping rectangle; CSV code matrix
 sweep       regime table over a beta grid at fixed alpha/mu/d0; CSV
 
+JSON output is ``params`` followed by the subcommand's result, by one rule:
+a dataclass becomes its fields in declaration order, with a ``state`` field
+spread into its parent; an enum becomes its lowercase name, a complex number
+``{"re", "im"}``, and a tuple or array a list.  ``verify`` and ``cycles`` add
+their counts, caps and verdicts (``n_violations``, ``ok``, ...) around them.
+
 Exit status: 0 on success, 1 when any verification report contains a
 violation (or a certificate fails, or a cycle is found), 2 on usage errors.
 Floats in CSV output carry 17 significant digits so downstream tools can
@@ -19,10 +25,13 @@ files.
 from __future__ import annotations
 
 import argparse
+import enum
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+
+import numpy as np
 
 from .core import Params, State, validate_params
 from .cycles import (
@@ -41,7 +50,6 @@ from .geometry import RegionLabel, check_invariance
 from .lyapunov import monotonicity_report
 from .trajectory import basin_raster, iterate
 
-_CSV_SUBCOMMANDS = {"simulate", "basin", "sweep"}
 _SUBCOMMANDS = ("simulate", "equilibria", "verify", "cycles", "basin", "sweep")
 
 #: At most this many violations are embedded per report in JSON output.
@@ -188,8 +196,8 @@ def parse_args(argv: list[str]) -> RunConfig:
 
     fmt = ns.format
     if fmt is None:
-        fmt = "csv" if ns.subcommand in _CSV_SUBCOMMANDS else "json"
-    if fmt == "csv" and ns.subcommand not in _CSV_SUBCOMMANDS:
+        fmt = "csv" if ns.subcommand in _CSV else "json"
+    if fmt == "csv" and ns.subcommand not in _CSV:
         raise UsageError(f"--format: csv is not available for '{ns.subcommand}'")
 
     return RunConfig(
@@ -222,81 +230,46 @@ def _budgets(cfg: RunConfig) -> tuple[int, float]:
             cfg.tol if cfg.tol is not None else base[1])
 
 
-def _params_dict(p: Params) -> dict:
-    return {"alpha": p.alpha, "beta": p.beta, "mu": p.mu, "d0": p.d0,
-            "d1": p.d1, "w0_regime": p.w0_regime}
+def _plain(obj):
+    """JSON-ready values of a report, by the rule in the module docstring."""
+    if isinstance(obj, enum.Enum):
+        return obj.name.lower()
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    if is_dataclass(obj):
+        out = {}
+        for f in fields(obj):
+            value = _plain(getattr(obj, f.name))
+            out.update(value if f.name == "state" else {f.name: value})
+        return out
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, (tuple, list)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _run_simulate(cfg: RunConfig) -> tuple[int, str]:
+def _run_simulate(cfg: RunConfig):
     max_iter, tol = _budgets(cfg)
-    report = iterate(cfg.params, State(cfg.x0, cfg.y0), max_iter, tol, cfg.stride)
-    if cfg.fmt == "csv":
-        lines = ["n,x,y,phi,region"]
-        lines += [
-            f"{s.n},{_fmt(s.state.x)},{_fmt(s.state.y)},{_fmt(s.phi)},{s.region.value}"
-            for s in report.samples
-        ]
-        return 0, "\n".join(lines) + "\n"
-    payload = {
-        "params": _params_dict(cfg.params),
-        "samples": [
-            {"n": s.n, "x": s.state.x, "y": s.state.y, "phi": s.phi,
-             "region": s.region.value}
-            for s in report.samples
-        ],
-        "iterations_used": report.iterations_used,
-        "final": {"x": report.final.x, "y": report.final.y},
-        "limit": report.limit.label,
-        "boundary_regime": report.boundary_regime,
-    }
-    return 0, _json_text(payload)
+    return 0, iterate(cfg.params, State(cfg.x0, cfg.y0), max_iter, tol, cfg.stride)
 
 
-def _run_equilibria(cfg: RunConfig) -> tuple[int, str]:
-    rep = equilibrium_report(cfg.params)
-    payload = {
-        "params": _params_dict(cfg.params),
-        "regime": {
-            "threshold": rep.regime.threshold,
-            "alpha_star": rep.regime.alpha_star,
-            "x_star": rep.regime.x_star,
-            "y_star": rep.regime.y_star,
-        },
-        "fixed_points": [
-            {
-                "x": fp.state.x,
-                "y": fp.state.y,
-                "jacobian": list(fp.jacobian),
-                "eigenvalues": [{"re": lam.real, "im": lam.imag}
-                                for lam in fp.eigenvalues],
-                "classification": fp.classification.value,
-            }
-            for fp in rep.fixed_points
-        ],
-    }
-    return 0, _json_text(payload)
+def _simulate_csv(report) -> str:
+    return "\n".join(["n,x,y,phi,region"] + [
+        f"{s.n},{_fmt(s.state.x)},{_fmt(s.state.y)},{_fmt(s.phi)},{s.region.value}"
+        for s in report.samples
+    ]) + "\n"
 
 
-def _invariance_payload(report) -> dict:
-    return {
-        "region": report.region.value,
-        "n_samples": report.n_samples,
-        "seed": report.seed,
-        "n_violations": len(report.violations),
-        "max_excursion": report.max_excursion,
-        "violations": [
-            {"index": v.index, "x": v.x, "y": v.y, "x_image": v.x_image,
-             "y_image": v.y_image, "excursion": v.excursion}
-            for v in report.violations[:_MAX_JSON_VIOLATIONS]
-        ],
-    }
+def _run_equilibria(cfg: RunConfig):
+    return 0, equilibrium_report(cfg.params)
 
 
-def _run_verify(cfg: RunConfig) -> tuple[int, str]:
+def _run_verify(cfg: RunConfig):
     p = cfg.params
     regions = [RegionLabel.OMEGA_ONLY]
     if regime_quantities(p).x_star is not None:
@@ -306,40 +279,26 @@ def _run_verify(cfg: RunConfig) -> tuple[int, str]:
     lyap = None
     if beta_vs_threshold(p) >= 0:
         lyap = monotonicity_report(p, cfg.n_samples, cfg.seed)
-
-    n_violations = sum(len(r.violations) for r in invariance)
-    if lyap is not None:
-        n_violations += lyap.total_violations
-    payload = {
-        "params": _params_dict(p),
-        "invariance": [_invariance_payload(r) for r in invariance],
-        "lyapunov": None if lyap is None else {
-            "n_samples": lyap.n_samples,
-            "seed": lyap.seed,
-            "regions": [
-                {
-                    "region": r.region.value,
-                    "claim": r.claim,
-                    "n_samples": r.n_samples,
-                    "n_violations": r.n_violations,
-                    "worst_delta": r.worst_delta,
-                    "worst_point": None if r.worst_point is None
-                    else list(r.worst_point),
-                }
-                for r in lyap.regions
-            ],
-        },
+    n_violations = (sum(len(r.violations) for r in invariance)
+                    + (0 if lyap is None else lyap.total_violations))
+    return (0 if n_violations == 0 else 1), {
+        "invariance": [
+            {"region": r.region, "n_samples": r.n_samples, "seed": r.seed,
+             "n_violations": len(r.violations), "max_excursion": r.max_excursion,
+             "violations": r.violations[:_MAX_JSON_VIOLATIONS]}
+            for r in invariance
+        ],
+        "lyapunov": None if lyap is None else
+        {"n_samples": lyap.n_samples, "seed": lyap.seed, "regions": lyap.regions},
         "n_violations": n_violations,
         "ok": n_violations == 0,
     }
-    return (0 if n_violations == 0 else 1), _json_text(payload)
 
 
-def _run_cycles(cfg: RunConfig) -> tuple[int, str]:
+def _run_cycles(cfg: RunConfig):
     p = cfg.params
     tol = cfg.tol if cfg.tol is not None else RESIDUAL_TOL
-    certificate = None
-    certificate_error = None
+    certificate = certificate_error = None
     if beta_vs_threshold(p) >= 0:
         try:
             certificate = no_cycle_certificate(p)
@@ -351,56 +310,42 @@ def _run_cycles(cfg: RunConfig) -> tuple[int, str]:
     ]
     residuals = [c.residual for _, cycles in searches for c in cycles]
     ok = certificate_error is None and not residuals
-    payload = {
-        "params": _params_dict(p),
+    return (0 if ok else 1), {
         "certificate": None if certificate is None else {
-            "branch": certificate.branch.value,
-            "b0": certificate.b0,
-            "coefficients": list(certificate.coefficients),
+            "branch": certificate.branch, "b0": certificate.b0,
+            "coefficients": certificate.coefficients,
             "all_positive": certificate.all_positive,
             "inequality_checks": certificate.inequality_checks,
-            "brute_force_residual": min(residuals) if residuals else None,
-        },
+            "brute_force_residual": min(residuals) if residuals else None},
         "certificate_error": certificate_error,
         "brute_force": [
-            {
-                "period": period,
-                "grid_n": cfg.grid_n,
-                "tol": tol,
-                "cycles": [
-                    {"states": [list(s) for s in c.states], "residual": c.residual}
-                    for c in cycles
-                ],
-            }
+            {"period": period, "grid_n": cfg.grid_n, "tol": tol,
+             "cycles": [{"states": c.states, "residual": c.residual} for c in cycles]}
             for period, cycles in searches
         ],
         "ok": ok,
     }
-    return (0 if ok else 1), _json_text(payload)
 
 
-def _run_basin(cfg: RunConfig) -> tuple[int, str]:
+def _run_basin(cfg: RunConfig):
     max_iter, tol = _budgets(cfg)
-    raster = basin_raster(cfg.params, cfg.grid_n, max_iter, tol)
-    if cfg.fmt == "csv":
-        lines = [",".join(str(int(c)) for c in row) for row in raster.codes]
-        return 0, "\n".join(lines) + "\n"
-    payload = {
-        "params": _params_dict(cfg.params),
-        "xs": [float(v) for v in raster.xs],
-        "ys": [float(v) for v in raster.ys],
-        "codes": [[int(c) for c in row] for row in raster.codes],
-    }
-    return 0, _json_text(payload)
+    return 0, basin_raster(cfg.params, cfg.grid_n, max_iter, tol)
 
 
-def _sweep_rows(cfg: RunConfig):
+def _basin_csv(raster) -> str:
+    return "\n".join(",".join(str(int(c)) for c in row) for row in raster.codes) + "\n"
+
+
+_REGIMES = ("below_threshold", "at_threshold", "above_threshold")
+
+
+def _run_sweep(cfg: RunConfig):
     p = cfg.params
+    rows = []
     for i in range(1, cfg.grid_n + 1):
         beta = p.beta * i / cfg.grid_n
         q = validate_params(p.alpha, beta, p.mu, p.d0, 0.0)
         rel = beta_vs_threshold(q)
-        regime = ("below_threshold", "at_threshold", "above_threshold")[rel + 1]
         rq = regime_quantities(q)
         if rel >= 0:
             try:
@@ -410,29 +355,18 @@ def _sweep_rows(cfg: RunConfig):
                 cert_ok = "false"
         else:
             cert_ok = "na"
-        yield q, regime, classify_origin_regime(q).value, rq, cert_ok
+        rows.append({"beta": q.beta, "regime": _REGIMES[rel + 1],
+                     "origin_class": classify_origin_regime(q).value,
+                     "x_star": rq.x_star, "y_star": rq.y_star,
+                     "certificate_ok": cert_ok})
+    return 0, {"rows": rows}
 
 
-def _run_sweep(cfg: RunConfig) -> tuple[int, str]:
-    header = "beta,regime,origin_class,x_star,y_star,certificate_ok"
-    if cfg.fmt == "csv":
-        lines = [header]
-        for q, regime, origin_class, rq, cert_ok in _sweep_rows(cfg):
-            lines.append(
-                f"{_fmt(q.beta)},{regime},{origin_class},"
-                f"{_fmt(rq.x_star)},{_fmt(rq.y_star)},{cert_ok}"
-            )
-        return 0, "\n".join(lines) + "\n"
-    payload = {
-        "params": _params_dict(cfg.params),
-        "rows": [
-            {"beta": q.beta, "regime": regime, "origin_class": origin_class,
-             "x_star": rq.x_star, "y_star": rq.y_star,
-             "certificate_ok": cert_ok}
-            for q, regime, origin_class, rq, cert_ok in _sweep_rows(cfg)
-        ],
-    }
-    return 0, _json_text(payload)
+def _sweep_csv(result) -> str:
+    return "\n".join(["beta,regime,origin_class,x_star,y_star,certificate_ok"] + [
+        ",".join(v if isinstance(v, str) else _fmt(v) for v in row.values())
+        for row in result["rows"]
+    ]) + "\n"
 
 
 _HANDLERS = {
@@ -444,10 +378,18 @@ _HANDLERS = {
     "sweep": _run_sweep,
 }
 
+#: CSV writers; each formats straight from its result, not through `_plain`.
+_CSV = {"simulate": _simulate_csv, "basin": _basin_csv, "sweep": _sweep_csv}
+
 
 def run(cfg: RunConfig) -> int:
-    """Execute a RunConfig, write its output, and return the exit status."""
-    status, text = _HANDLERS[cfg.subcommand](cfg)
+    """Run the handler, write its result as JSON or CSV, and return its status."""
+    status, result = _HANDLERS[cfg.subcommand](cfg)
+    if cfg.fmt == "csv":
+        text = _CSV[cfg.subcommand](result)
+    else:
+        text = json.dumps({"params": _plain(cfg.params), **_plain(result)},
+                          indent=2) + "\n"
     if cfg.out is None:
         sys.stdout.write(text)
     else:

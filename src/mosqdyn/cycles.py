@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -105,7 +104,6 @@ def _x_star_value(p: Params) -> float:
     return p.alpha * (p.beta - p.mu) / (p.mu * p.d0) - 1.0
 
 
-@lru_cache(maxsize=None)
 def cycle_coefficients(p: Params) -> CycleCoefficients:
     """The A/B coefficient block of the period-2 quartic."""
     _require_certificate_regime(p)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import Params, State, require_w0, step_w0
 from .errors import NotAFixedPointError
@@ -87,7 +86,6 @@ def beta_vs_threshold(p: Params) -> int:
     return 1 if p.beta > t else -1
 
 
-@lru_cache(maxsize=None)
 def regime_quantities(p: Params) -> RegimeQuantities:
     """Threshold, eigenvalue-crossing shift, and the positive fixed point.
 

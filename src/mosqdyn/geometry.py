@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -77,7 +76,6 @@ class InvarianceReport:
     max_excursion: float
 
 
-@lru_cache(maxsize=None)
 def omega_bounds(p: Params) -> RegionBounds:
     """Trapping-rectangle bounds; subdivision point filled when beta allows."""
     require_w0(p)

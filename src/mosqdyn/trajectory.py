@@ -97,7 +97,7 @@ class BasinRaster:
 def _stopping_rule(p: Params, tol: float):
     """Validated (fixed points, near radius) of the stopping rule."""
     require_w0(p)
-    if tol <= 0.0:
+    if not tol > 0.0:  # also refuses NaN
         raise ValueError(f"tol must be positive, got {tol}")
     rq = regime_quantities(p)
     fps = [(0.0, 0.0, OmegaLimitClass.CONVERGED_TO_ORIGIN)]

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mosqdyn
 from mosqdyn.cli import main, parse_args, run
 from mosqdyn.errors import UsageError
 from mosqdyn.geometry import RegionBounds, omega_bounds
@@ -311,10 +314,16 @@ class TestDeterminismAndExitCodes:
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "eq.json"
+        # the child imports the same mosqdyn as this process, installed or not
+        src = str(Path(mosqdyn.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "mosqdyn", "equilibria", *P0_FLAGS,
              "--out", str(out)],
             capture_output=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["regime"]["x_star"] == pytest.approx(1.5)

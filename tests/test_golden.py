@@ -3,6 +3,8 @@
 tests/golden/<subcommand>_<tuple>.<ext> holds the stdout of one call at a
 small size.  After an intended output change, regenerate a file with
 ``python -m mosqdyn <argv> > tests/golden/<file>``, using the argv below.
+The SUBSTITUTED files pin failing reports: they hold the stdout of the same
+call made in-process with the listed substitution applied.
 """
 
 from pathlib import Path
@@ -10,6 +12,9 @@ from pathlib import Path
 import pytest
 
 from mosqdyn.cli import main
+from mosqdyn.cycles import Cycle
+from mosqdyn.errors import CertificateFailure
+from mosqdyn.geometry import RegionBounds, omega_bounds
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -31,10 +36,17 @@ COMMANDS = {
     "sweep": (["--grid-n", "5"], "csv"),
 }
 
+#: Subcommands whose default CSV also has a ``--format json`` mirror.
+JSON_MIRRORS = ("simulate", "basin", "sweep")
+
 CASES = [
     (f"{cmd}_{name}.{ext}", [cmd, *flags, *extra])
     for name, flags in TUPLES.items()
     for cmd, (extra, ext) in COMMANDS.items()
+] + [
+    (f"{cmd}_{name}.json", [cmd, *flags, *COMMANDS[cmd][0], "--format", "json"])
+    for name, flags in TUPLES.items()
+    for cmd in JSON_MIRRORS
 ]
 
 
@@ -43,4 +55,53 @@ def test_stdout_matches_golden_bytes(filename, argv, capsys):
     status = main(argv)
     out = capsys.readouterr().out.encode("utf-8")
     assert status == 0
+    assert out == (GOLDEN / filename).read_bytes()
+
+
+def corrupt_omega_bounds(monkeypatch):
+    """Halve Omega's x extent, so the invariance samples leave their regions."""
+    real = omega_bounds
+
+    def corrupted(p):
+        b = real(p)
+        return RegionBounds(0.5 * b.x_max, b.y_max, b.x_star, b.y_star)
+
+    monkeypatch.setattr("mosqdyn.geometry.omega_bounds", corrupted)
+
+
+def fake_cycles(monkeypatch):
+    """One made-up cycle per searched period."""
+    def search(p, period, grid_n, tol):
+        states = tuple((0.1 * (k + 1), 0.3 / (k + 1)) for k in range(period))
+        return [Cycle(period, states, 1e-13 / period)]
+
+    monkeypatch.setattr("mosqdyn.cli.brute_force_cycle_search", search)
+
+
+def failing_certificate(monkeypatch):
+    def certificate(p):
+        raise CertificateFailure("substituted failure: coefficients lost sign")
+
+    monkeypatch.setattr("mosqdyn.cli.no_cycle_certificate", certificate)
+
+
+SUBSTITUTED = {
+    "verify_p0_corrupted.json": (
+        ["verify", *TUPLES["p0"], *COMMANDS["verify"][0]], (corrupt_omega_bounds,)),
+    "cycles_p0_fake_cycles.json": (
+        ["cycles", *TUPLES["p0"], *COMMANDS["cycles"][0]], (fake_cycles,)),
+    "cycles_p0_no_certificate.json": (
+        ["cycles", *TUPLES["p0"], *COMMANDS["cycles"][0]],
+        (fake_cycles, failing_certificate)),
+}
+
+
+@pytest.mark.parametrize("filename", SUBSTITUTED)
+def test_failing_report_matches_golden_bytes(filename, monkeypatch, capsys):
+    argv, substitutions = SUBSTITUTED[filename]
+    for substitute in substitutions:
+        substitute(monkeypatch)
+    status = main(argv)
+    out = capsys.readouterr().out.encode("utf-8")
+    assert status == 1
     assert out == (GOLDEN / filename).read_bytes()

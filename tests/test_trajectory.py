@@ -75,6 +75,10 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(P0, State(0.1, 0.1), 10, 1e-8, stride=0)
 
+    def test_nan_tol_is_refused(self):
+        with pytest.raises(ValueError):
+            iterate(P0, State(1.0, 0.5), 50, float("nan"))
+
 
 class TestLargeAdultStarts:
     """Starts far above alpha/mu still converge (README, "The escape probe")."""
@@ -292,6 +296,10 @@ class TestClassifyBatchWidths:
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
             classify_batch(P0, [1.0], [0.5], 10, 0.0)
+
+    def test_nan_tol_is_refused(self):
+        with pytest.raises(ValueError):
+            classify_batch(P0, [1.0], [0.5], 50, float("nan"))
 
 
 class TestOneClampRule:
