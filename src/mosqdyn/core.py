@@ -21,6 +21,15 @@ the map sends the closed positive quadrant into itself and reduces to
 exposed as ``step_w0``.  Every downstream analysis (fixed points, invariant
 boxes, Lyapunov descent, cycle exclusion, trajectory limits) lives in that
 regime; ``Params.w0_regime`` records whether a parameter set qualifies.
+
+One step function per data shape, and the clamp rule (negatives down to
+-CLAMP_TOL become 0, lower ones raise) lives only in this module:
+
+- ``step_general``: full map, unclamped; the reference tests compare against.
+- ``step_w0``: State to State; equilibria, lyapunov, trajectory.escape_probe.
+- ``step_w0_raw``: floats or arrays, unclamped; cycles Newton, scalar orbits.
+- ``step_w0_into``: step_w0_raw into preallocated arrays; the wide orbit loop.
+- ``step_w0_batch``: arrays, clamped by ``_clamp_into``; geometry's sampling.
 """
 
 from __future__ import annotations
@@ -185,17 +194,13 @@ def step_w0_into(p: Params, x: np.ndarray, y: np.ndarray, xn: np.ndarray,
     np.add(yn, y, out=yn)
 
 
-def step_w0_floats(p: Params, x: float, y: float) -> tuple[float, float]:
-    """Like step_w0 but on plain floats, skipping State construction."""
-    xp, yp = step_w0_raw(p, x, y)
-    return _clamp(xp), _clamp(yp)
-
-
 def step_w0_batch(p: Params, x: np.ndarray, y: np.ndarray):
     """Vectorized step_w0 over coordinate arrays, with the same clamping."""
     require_w0(p)
-    xp, yp = step_w0_raw(p, x, y)
-    return _clamp_array(xp), _clamp_array(yp)
+    xn, yn, em = (np.empty(np.broadcast(x, y).shape) for _ in range(3))
+    step_w0_into(p, x, y, xn, yn, em)
+    _clamp_into(xn, yn)
+    return xn, yn
 
 
 def _clamp(v: float) -> float:
@@ -206,8 +211,11 @@ def _clamp(v: float) -> float:
     return v
 
 
-def _clamp_array(v: np.ndarray) -> np.ndarray:
-    if np.any(v < -CLAMP_TOL):
-        worst = float(np.min(v))
-        raise DomainError(f"map produced a negative coordinate beyond tolerance: {worst}")
-    return np.where(v < 0.0, 0.0, v)
+def _clamp_into(x: np.ndarray, y: np.ndarray) -> None:
+    """Apply _clamp's rule to two float arrays in place; NaN lanes are skipped."""
+    lo = min(np.fmin.reduce(x, axis=None, initial=0.0),
+             np.fmin.reduce(y, axis=None, initial=0.0))
+    if lo < 0.0:
+        _clamp(lo)  # raises beyond CLAMP_TOL
+        np.copyto(x, 0.0, where=x < 0.0)
+        np.copyto(y, 0.0, where=y < 0.0)

@@ -91,14 +91,6 @@ class Cycle:
     residual: float
 
 
-def _require_certificate_regime(p: Params) -> None:
-    require_w0(p)
-    if beta_vs_threshold(p) < 0:
-        raise RegimeError(
-            "cycle algebra needs beta at or above the threshold (D > 0)"
-        )
-
-
 def _x_star_value(p: Params) -> float:
     # Valid for beta >= threshold; evaluates to ~0 exactly on the threshold.
     return p.alpha * (p.beta - p.mu) / (p.mu * p.d0) - 1.0
@@ -106,7 +98,11 @@ def _x_star_value(p: Params) -> float:
 
 def cycle_coefficients(p: Params) -> CycleCoefficients:
     """The A/B coefficient block of the period-2 quartic."""
-    _require_certificate_regime(p)
+    require_w0(p)
+    if beta_vs_threshold(p) < 0:
+        raise RegimeError(
+            "cycle algebra needs beta at or above the threshold (D > 0)"
+        )
     al, be, mu, d0 = p.alpha, p.beta, p.mu, p.d0
     d = be * (2.0 - mu - d0) - mu * (2.0 - mu)
     if d <= 0.0:
@@ -128,7 +124,6 @@ def cycle_coefficients(p: Params) -> CycleCoefficients:
 
 def two_cycle_y_of_x(p: Params, x: float) -> float:
     """Adult density forced by a period-2 larvae density x."""
-    _require_certificate_regime(p)
     c = cycle_coefficients(p)
     num = x * (p.d0 * (2.0 - p.d0) * (1.0 + x) - p.alpha * (p.beta - p.mu + p.d0))
     return num / ((1.0 + x) * c.d)
@@ -140,17 +135,18 @@ def quartic_residual(p: Params, x: float) -> float:
     return x * (((c.b1 * x + c.b2) * x + c.b3) * x + c.b4)
 
 
-def _check_routes(kind: str, composed, closed) -> None:
+def _check_routes(kind: str, composed, closed):
+    """The composed route, once it agrees with the closed one."""
     for a, b in zip(composed, closed):
         if abs(a - b) > ROUTE_TOL * max(1.0, abs(a), abs(b)):
             raise CertificateFailure(
                 f"{kind} coefficient routes disagree: {a!r} vs {b!r}"
             )
+    return composed
 
 
-def _reduced_quadratic_routes(p: Params):
+def _reduced_quadratic_routes(p: Params, c: CycleCoefficients):
     """Deflated quadratic two ways: composed from the quartic, and closed form."""
-    c = cycle_coefficients(p)
     al, be, mu, d0 = p.alpha, p.beta, p.mu, p.d0
     xs = _x_star_value(p)
     composed = (
@@ -173,16 +169,14 @@ def reduced_quadratic(p: Params) -> tuple[float, float, float]:
     Computed by direct composition and cross-checked against the closed
     forms before being returned.
     """
-    composed, closed = _reduced_quadratic_routes(p)
-    _check_routes("reduced quadratic", composed, closed)
-    return composed
+    routes = _reduced_quadratic_routes(p, cycle_coefficients(p))
+    return _check_routes("reduced quadratic", *routes)
 
 
-def _shifted_quadratic_routes(p: Params):
+def _shifted_quadratic_routes(p: Params, c: CycleCoefficients):
     """Quadratic recentered at B0, by Taylor shift and by closed form."""
-    c = cycle_coefficients(p)
     al, be, mu, d0 = p.alpha, p.beta, p.mu, p.d0
-    q2, q1, q0 = reduced_quadratic(p)
+    q2, q1, q0 = _check_routes("reduced quadratic", *_reduced_quadratic_routes(p, c))
     b0 = c.b0
     shifted = (
         q2,
@@ -213,9 +207,7 @@ def shifted_quadratic(p: Params) -> tuple[float, float, float]:
     c = cycle_coefficients(p)
     if c.b0 <= 0.0:
         raise BranchError(f"shifted quadratic needs B0 > 0, got B0 = {c.b0}")
-    shifted, closed = _shifted_quadratic_routes(p)
-    _check_routes("shifted quadratic", shifted, closed)
-    return shifted
+    return _check_routes("shifted quadratic", *_shifted_quadratic_routes(p, c))
 
 
 def no_cycle_certificate(p: Params) -> CycleCertificate:
@@ -230,7 +222,7 @@ def no_cycle_certificate(p: Params) -> CycleCertificate:
     al, be, mu, d0 = p.alpha, p.beta, p.mu, p.d0
     if c.b0 > 0.0:
         branch = CertificateBranch.B0_POSITIVE
-        coeffs = shifted_quadratic(p)
+        coeffs = _check_routes("shifted quadratic", *_shifted_quadratic_routes(p, c))
         checks = {
             "gap_times_survival_exceeds_d0": (be - mu) * (1.0 - d0) > d0,
             "squared_gap_inequality":
@@ -238,7 +230,7 @@ def no_cycle_certificate(p: Params) -> CycleCertificate:
         }
     else:
         branch = CertificateBranch.B0_NON_POSITIVE
-        coeffs = reduced_quadratic(p)
+        coeffs = _check_routes("reduced quadratic", *_reduced_quadratic_routes(p, c))
         checks = {
             "mixed_product_nonnegative":
                 (2.0 - mu) * (2.0 - d0) - al * (2.0 + be - mu) >= 0.0,

@@ -142,6 +142,22 @@ def sample_region(p: Params, region: RegionLabel, n_samples: int, seed: int,
     return xs, ys
 
 
+def _sampled_images(p: Params, region: RegionLabel, n: int, seed: int,
+                    stream: int):
+    """Seeded samples of a region and their images, as (xs, ys, xp, yp).
+
+    Stepped in `_sampling.map_chunks` chunks; one chunk is returned uncopied.
+    """
+    xs, ys = sample_region(p, region, n, seed, stream)
+    parts = _sampling.map_chunks(
+        lambda a, b: step_w0_batch(p, xs[a:b], ys[a:b]), n,
+    ) or [(xs, ys)]  # n == 0: an empty sample is its own image
+    if len(parts) == 1:
+        return xs, ys, *parts[0]
+    xp, yp = (np.concatenate(c) for c in zip(*parts))
+    return xs, ys, xp, yp
+
+
 def check_invariance(p: Params, region: RegionLabel, n_samples: int,
                      seed: int) -> InvarianceReport:
     """Sample a claimed-invariant region and verify images stay inside.
@@ -158,29 +174,19 @@ def check_invariance(p: Params, region: RegionLabel, n_samples: int,
             f"no invariance claim for region {region.value}"
         )
     x_lo, x_hi, y_lo, y_hi = region_box(p, region)
-    xs, ys = sample_region(p, region, n_samples, seed)
-
-    def work(a: int, b: int):
-        xp, yp = step_w0_batch(p, xs[a:b], ys[a:b])
-        ex = np.maximum.reduce([
-            x_lo - xp, xp - x_hi, y_lo - yp, yp - y_hi,
-            np.zeros_like(xp),
-        ])
-        return a, xp, yp, ex
-
-    violations = []
-    max_excursion = 0.0
-    for a, xp, yp, ex in _sampling.map_chunks(work, n_samples):
-        if ex.size:
-            max_excursion = max(max_excursion, float(ex.max()))
-        for i in np.flatnonzero(ex > CONTAINMENT_TOL):
-            violations.append(RegionViolation(
-                index=a + int(i),
-                x=float(xs[a + i]), y=float(ys[a + i]),
-                x_image=float(xp[i]), y_image=float(yp[i]),
-                excursion=float(ex[i]),
-            ))
-    violations.sort(key=lambda v: v.index)
+    xs, ys, xp, yp = _sampled_images(p, region, n_samples, seed,
+                                     _sampling.STREAM_INVARIANCE)
+    ex = np.maximum.reduce([
+        x_lo - xp, xp - x_hi, y_lo - yp, yp - y_hi, np.zeros_like(xp),
+    ])
+    violations = [
+        RegionViolation(
+            index=int(i), x=float(xs[i]), y=float(ys[i]),
+            x_image=float(xp[i]), y_image=float(yp[i]), excursion=float(ex[i]),
+        )
+        for i in np.flatnonzero(ex > CONTAINMENT_TOL)
+    ]
+    max_excursion = float(ex.max()) if ex.size else 0.0
     return InvarianceReport(
         region=region,
         n_samples=n_samples,

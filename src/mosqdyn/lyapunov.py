@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _sampling
-from .core import Params, State, require_w0, step_w0, step_w0_batch
+from .core import Params, State, require_w0, step_w0
 from .equilibria import beta_vs_threshold, regime_quantities
 from .errors import RegimeError
-from .geometry import RegionLabel, region_of, sample_region
+from .geometry import RegionLabel, _sampled_images, region_of
 
 #: Slack allowed when asserting the sign of an increment.
 SIGN_TOL = 1e-12
@@ -126,18 +126,12 @@ def monotonicity_report(p: Params, n_samples: int, seed: int) -> MonotonicityRep
         ]
     entries = []
     for region, claim in plan:
-        xs, ys = sample_region(p, region, n_samples, seed,
-                               stream=_sampling.STREAM_MONOTONICITY)
+        xs, ys, xp, yp = _sampled_images(p, region, n_samples, seed,
+                                         _sampling.STREAM_MONOTONICITY)
         if n_samples == 0:
             entries.append(RegionMonotonicity(region, claim, 0, 0, None, None))
             continue
-
-        def work(a: int, b: int):
-            xp, yp = step_w0_batch(p, xs[a:b], ys[a:b])
-            before = p.mu * xs[a:b] + p.beta * ys[a:b]
-            return (p.mu * xp + p.beta * yp) - before
-
-        delta = np.concatenate(_sampling.map_chunks(work, n_samples))
+        delta = (p.mu * xp + p.beta * yp) - (p.mu * xs + p.beta * ys)
         if claim == "nondecreasing":
             bad = delta < -SIGN_TOL
             worst_i = int(np.argmin(delta))

@@ -24,8 +24,9 @@ from .core import (
     Params,
     State,
     _clamp,
+    _clamp_into,
     require_w0,
-    step_w0_floats,
+    step_w0,
     step_w0_into,
     step_w0_raw,
 )
@@ -179,7 +180,8 @@ def escape_probe(p: Params, z0: State, horizon: int) -> EscapeProbeReport:
 
     Requires the starting adult density above alpha/mu.  Reports whether it
     stayed above at every step, whether the final 10% of larvae samples is
-    strictly increasing, and the final gap y - alpha/mu.
+    strictly increasing, and the final gap y - alpha/mu.  Steps go through
+    `step_w0`, so an image that overflows raises DomainError.
     """
     require_w0(p)
     y_cap = p.alpha / p.mu
@@ -187,20 +189,20 @@ def escape_probe(p: Params, z0: State, horizon: int) -> EscapeProbeReport:
         raise DomainError(
             f"escape probe needs y0 > alpha/mu = {y_cap}, got y0 = {z0.y}"
         )
-    x, y = z0.x, z0.y
-    xs = [x]
+    z = z0
+    xs = [z.x]
     stayed = True
     for _ in range(horizon):
-        x, y = step_w0_floats(p, x, y)
-        stayed = stayed and (y > y_cap)
-        xs.append(x)
+        z = step_w0(p, z)
+        stayed = stayed and (z.y > y_cap)
+        xs.append(z.x)
     tail_len = max(2, math.ceil(0.1 * len(xs)))
     tail = xs[-tail_len:]
     increasing = all(a < b for a, b in zip(tail, tail[1:]))
     return EscapeProbeReport(
         y_stayed_above=stayed,
         x_monotone_increasing_tail=increasing,
-        y_gap_final=y - y_cap,
+        y_gap_final=z.y - y_cap,
         horizon=horizon,
     )
 
@@ -246,7 +248,7 @@ def _classify_wide(p, max_iter, tol, fps, near, codes, iters, fx, fy) -> None:
 
     fx, fy hold the starts on entry and the final states on return.  A lane
     that stops is recorded, then set to NaN: NaN never moves less than tol,
-    is never near a fixed point and is skipped by the fmin clamp check, so
+    is never near a fixed point and is skipped by `_clamp_into`, so
     stopped lanes drop out of every per-step test without compaction.
     """
     n = fx.size
@@ -257,11 +259,7 @@ def _classify_wide(p, max_iter, tol, fps, near, codes, iters, fx, fy) -> None:
     live = np.ones(n, dtype=bool)
     for it in range(max_iter):
         step_w0_into(p, x, y, xn, yn, em)
-        lo = min(np.fmin.reduce(xn), np.fmin.reduce(yn))
-        if lo < 0.0:
-            _clamp(lo)  # raises beyond CLAMP_TOL, as the scalar loop does
-            np.copyto(xn, 0.0, where=xn < 0.0)
-            np.copyto(yn, 0.0, where=yn < 0.0)
+        _clamp_into(xn, yn)
         np.subtract(xn, x, out=d)
         np.abs(d, out=d)
         np.subtract(yn, y, out=e)

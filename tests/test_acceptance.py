@@ -201,14 +201,14 @@ def test_criterion_8_algebra_cross_checks():
     worst_deflation = 0.0
     for _ in range(10_000):
         p = sample_w0_params(rng, "at_or_above")
-        composed, closed = _reduced_quadratic_routes(p)
+        composed, closed = _reduced_quadratic_routes(p, cycle_coefficients(p))
         for a, b in zip(composed, closed):
             gap = abs(a - b) / max(1.0, abs(a), abs(b))
             worst_route = max(worst_route, gap)
             assert gap < 1e-9
         c = cycle_coefficients(p)
         if c.b0 > 0.0:
-            shifted, closed_s = _shifted_quadratic_routes(p)
+            shifted, closed_s = _shifted_quadratic_routes(p, c)
             for a, b in zip(shifted, closed_s):
                 gap = abs(a - b) / max(1.0, abs(a), abs(b))
                 worst_route = max(worst_route, gap)

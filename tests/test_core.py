@@ -5,7 +5,14 @@ import pytest
 
 from conftest import P0, make_rng, sample_w0_params
 from mosqdyn import State, emergence_response, step_general, step_w0, validate_params
-from mosqdyn.core import CLAMP_TOL, _clamp, step_w0_batch, step_w0_into, step_w0_raw
+from mosqdyn.core import (
+    CLAMP_TOL,
+    _clamp,
+    _clamp_into,
+    step_w0_batch,
+    step_w0_into,
+    step_w0_raw,
+)
 from mosqdyn.errors import (
     DomainError,
     NegativeDeathError,
@@ -171,3 +178,50 @@ class TestStepW0:
         assert _clamp(0.0) == 0.0
         with pytest.raises(DomainError):
             _clamp(-10 * CLAMP_TOL)
+
+    def test_batch_matches_step_w0_lane_by_lane(self):
+        # 40 parameter sets x 252 lanes, about 1e4 (p, z) pairs; compared as
+        # bytes, so a clamped lane must be +0.0 on both sides.  With
+        # alpha + d0 = 1, y = 0 and x below 1e-14 the x image rounds to a
+        # tiny negative in about a third of the lanes.
+        rng = make_rng(15)
+        clamped = 0
+        for k in range(40):
+            p = sample_w0_params(rng, "at_or_above")
+            if k % 4 == 0:
+                p = validate_params(p.alpha, p.beta, p.mu, 1.0 - p.alpha)
+            xs = np.concatenate([[0.0, 1e-300], rng.uniform(0.0, 1e3, 150),
+                                 rng.uniform(0.0, 1e-6, 50),
+                                 10.0 ** rng.uniform(-20.0, -14.0, 50)])
+            ys = rng.permutation(xs)
+            ys[-50:] = 0.0
+            clamped += int((step_w0_raw(p, xs, ys)[0] < 0.0).sum())
+            xp, yp = step_w0_batch(p, xs, ys)
+            images = [step_w0(p, State(x, y)) for x, y in zip(xs, ys)]
+            assert xp.tobytes() == np.array([z.x for z in images]).tobytes()
+            assert yp.tobytes() == np.array([z.y for z in images]).tobytes()
+        assert clamped > 0
+
+
+class TestClampInto:
+    def test_noise_becomes_positive_zero(self):
+        x = np.array([-0.5 * CLAMP_TOL, 1.0, -CLAMP_TOL])
+        y = np.array([2.0, -1e-300, 0.0])
+        _clamp_into(x, y)
+        assert x.tolist() == [0.0, 1.0, 0.0]
+        assert y.tolist() == [2.0, 0.0, 0.0]
+        assert not np.signbit(x).any() and not np.signbit(y).any()
+
+    @pytest.mark.parametrize("coord", [0, 1])
+    def test_beyond_tolerance_raises(self, coord):
+        pair = [np.array([1.0, -0.5 * CLAMP_TOL]), np.array([1.0, 2.0])]
+        pair[coord][0] = -10 * CLAMP_TOL
+        with pytest.raises(DomainError):
+            _clamp_into(*pair)
+
+    def test_nan_lanes_are_left_untouched(self):
+        x = np.array([np.nan, -0.5 * CLAMP_TOL, 3.0])
+        y = np.array([np.nan, np.nan, -0.5 * CLAMP_TOL])
+        _clamp_into(x, y)
+        assert np.isnan(x[0]) and np.isnan(y[0]) and np.isnan(y[1])
+        assert x[1:].tolist() == [0.0, 3.0] and y[2] == 0.0

@@ -15,6 +15,7 @@ from mosqdyn import (
     two_cycle_y_of_x,
     validate_params,
 )
+from mosqdyn import cycles
 from mosqdyn.core import step_w0_raw
 from mosqdyn.cycles import (
     CertificateBranch,
@@ -114,7 +115,7 @@ class TestReducedQuadratic:
         rng = make_rng(66)
         for _ in range(1000):
             p = sample_w0_params(rng, "at_or_above")
-            composed, closed = _reduced_quadratic_routes(p)
+            composed, closed = _reduced_quadratic_routes(p, cycle_coefficients(p))
             for a, b in zip(composed, closed):
                 assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
@@ -169,7 +170,7 @@ class TestShiftedQuadratic:
             p = sample_w0_params(rng, "at_or_above")
             if cycle_coefficients(p).b0 <= 0.0:
                 continue
-            shifted, closed = _shifted_quadratic_routes(p)
+            shifted, closed = _shifted_quadratic_routes(p, cycle_coefficients(p))
             for a, b in zip(shifted, closed):
                 assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
             n_checked += 1
@@ -236,6 +237,22 @@ class TestCertificate:
         cert = no_cycle_certificate(P_B0_NEG)
         assert cert.branch is CertificateBranch.B0_NON_POSITIVE
         assert cert.all_positive
+
+    @pytest.mark.parametrize("p, branch", [
+        (P0, CertificateBranch.B0_POSITIVE),
+        (P_B0_NEG, CertificateBranch.B0_NON_POSITIVE),
+    ], ids=["b0_positive", "b0_non_positive"])
+    def test_coefficients_computed_once(self, monkeypatch, p, branch):
+        calls = []
+        real = cycles.cycle_coefficients
+
+        def spy(q):
+            calls.append(q)
+            return real(q)
+
+        monkeypatch.setattr(cycles, "cycle_coefficients", spy)
+        assert no_cycle_certificate(p).branch is branch
+        assert calls == [p]
 
     def test_never_fails_on_random_tuples(self):
         rng = make_rng(73)

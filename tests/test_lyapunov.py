@@ -108,6 +108,12 @@ class TestMonotonicityReport:
         assert rep.total_violations == 0
         assert all(r.n_samples == 0 for r in rep.regions)
 
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setenv("MOSQDYN_THREADS", "1")
+        base = monotonicity_report(P0, 5_000, seed=9)
+        monkeypatch.setenv("MOSQDYN_THREADS", "3")
+        assert monotonicity_report(P0, 5_000, seed=9) == base
+
     def test_below_threshold_refused(self):
         with pytest.raises(RegimeError):
             monotonicity_report(validate_params(0.5, 1.0, 0.8, 0.3, 0.0), 10, seed=7)

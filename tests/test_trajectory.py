@@ -12,10 +12,11 @@ from mosqdyn import (
     omega_bounds,
     phi,
     regime_quantities,
+    step_w0,
     validate_params,
 )
 from mosqdyn import trajectory
-from mosqdyn.core import CLAMP_TOL, step_w0_floats
+from mosqdyn.core import CLAMP_TOL
 from mosqdyn.errors import DomainError
 from mosqdyn.trajectory import NARROW_LANES, classify_batch
 
@@ -139,11 +140,11 @@ class TestAmbiguousLimit:
 
 class TestOrbitProperties:
     def _orbit(self, p, z0, n):
-        x, y = z0
-        pts = [(x, y)]
+        z = State(*z0)
+        pts = [z0]
         for _ in range(n):
-            x, y = step_w0_floats(p, x, y)
-            pts.append((x, y))
+            z = step_w0(p, z)
+            pts.append((z.x, z.y))
         return pts
 
     def test_monotone_coordinates_in_omega3_and_omega4(self):
@@ -195,8 +196,13 @@ class TestEscapeProbe:
             cap = p.alpha / p.mu
             x = float(rng.uniform(0.0, 100.0))
             y = cap * float(rng.uniform(1.0 + 1e-9, 20.0))
-            _, yn = step_w0_floats(p, x, y)
-            assert yn < y
+            assert step_w0(p, State(x, y)).y < y
+
+    def test_overflow_raises_instead_of_reporting_nan(self):
+        # beta*y overflows to inf on the first step; the probe used to carry
+        # it on and report y_gap_final = nan
+        with pytest.raises(DomainError, match="finite"):
+            escape_probe(P0, State(0.0, 1e308), 5)
 
     def test_hypothesis_fails_in_finite_time_from_reference_start(self):
         # adults cannot stay above alpha/mu forever: larvae stay bounded
