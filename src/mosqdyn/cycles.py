@@ -336,14 +336,6 @@ def _newton_cycle_batch(p: Params, x0, y0, period: int, tol: float):
     return x[ok], y[ok], res[ok]
 
 
-def _orbit_points(p: Params, x: float, y: float, period: int):
-    pts = [(x, y)]
-    for _ in range(period - 1):
-        x, y = step_w0_raw(p, x, y)
-        pts.append((float(x), float(y)))
-    return pts
-
-
 def _canonical_rotation(pts):
     k = min(range(len(pts)), key=lambda i: pts[i])
     return tuple(pts[k:] + pts[:k])
@@ -353,14 +345,20 @@ def brute_force_cycle_search(p: Params, period: int, grid_n: int,
                              tol: float = RESIDUAL_TOL) -> list[Cycle]:
     """Hunt genuine period-p orbits by Newton from a grid over the rectangle.
 
-    Converged roots are deduplicated (DEDUP_RADIUS, up to orbit rotation),
-    stripped of known fixed points and of orbits whose minimal period is
-    shorter, and restricted to the closed positive quadrant.  An empty list
-    is the expected outcome for every admissible parameter set.
+    Each converged root is stepped period - 1 times, all roots at once, and
+    dropped by three rules in this order: an orbit point leaves the closed
+    positive quadrant (below -1e-9, or NaN); an orbit point lies within
+    DEDUP_RADIUS (max norm) of a known fixed point; two orbit points lie
+    within DEDUP_RADIUS, so the minimal period is shorter.  Only the
+    survivors, in root order, are rotated to a canonical start and
+    deduplicated (DEDUP_RADIUS, up to orbit rotation).  An empty list is
+    the expected outcome for every admissible parameter set.
     """
     require_w0(p)
     if period not in (2, 3, 4):
         raise ValueError(f"period must be 2, 3, or 4, got {period}")
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
     b = omega_bounds(p)
     gx = np.linspace(0.0, b.x_max, grid_n)
     gy = np.linspace(0.0, b.y_max, grid_n)
@@ -372,23 +370,21 @@ def brute_force_cycle_search(p: Params, period: int, grid_n: int,
     if rq.x_star is not None:
         fixed.append((rq.x_star, rq.y_star))
 
+    # orbit point k of root r is (xs[k, r], ys[k, r])
+    xs, ys = np.empty((2, period, roots_x.size))
+    xs[0], ys[0] = roots_x, roots_y
+    for k in range(1, period):
+        xs[k], ys[k] = step_w0_raw(p, xs[k - 1], ys[k - 1])
+    keep = ((xs >= -1e-9) & (ys >= -1e-9)).all(axis=0)
+    i, j = np.triu_indices(period, 1)
+    gaps = [(xs - fx, ys - fy) for fx, fy in fixed]  # fixed-point collapse
+    gaps.append((xs[i] - xs[j], ys[i] - ys[j]))  # shorter minimal period
+    for dx, dy in gaps:
+        keep &= ~(np.maximum(np.abs(dx), np.abs(dy)) < DEDUP_RADIUS).any(axis=0)
+
     cycles: list[Cycle] = []
-    for x, y, res in zip(roots_x, roots_y, residuals):
-        orbit = _orbit_points(p, float(x), float(y), period)
-        if any(not (px >= -1e-9 and py >= -1e-9) for px, py in orbit):
-            continue  # outside the positive quadrant
-        if any(
-            max(abs(px - fx), abs(py - fy)) < DEDUP_RADIUS
-            for px, py in orbit for fx, fy in fixed
-        ):
-            continue  # collapses onto a fixed point
-        if any(
-            max(abs(orbit[i][0] - orbit[j][0]), abs(orbit[i][1] - orbit[j][1]))
-            < DEDUP_RADIUS
-            for i in range(period) for j in range(i + 1, period)
-        ):
-            continue  # minimal period shorter than requested
-        canon = _canonical_rotation(orbit)
+    for r in np.flatnonzero(keep):
+        canon = _canonical_rotation(list(zip(xs[:, r].tolist(), ys[:, r].tolist())))
         if any(
             all(
                 max(abs(a[0] - b_[0]), abs(a[1] - b_[1])) < DEDUP_RADIUS
@@ -397,6 +393,6 @@ def brute_force_cycle_search(p: Params, period: int, grid_n: int,
             for c in cycles
         ):
             continue  # duplicate of an already recorded orbit
-        cycles.append(Cycle(period=period, states=canon, residual=float(res)))
+        cycles.append(Cycle(period=period, states=canon, residual=float(residuals[r])))
     cycles.sort(key=lambda c: c.states)
     return cycles

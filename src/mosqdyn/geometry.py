@@ -176,9 +176,10 @@ def check_invariance(p: Params, region: RegionLabel, n_samples: int,
     x_lo, x_hi, y_lo, y_hi = region_box(p, region)
     xs, ys, xp, yp = _sampled_images(p, region, n_samples, seed,
                                      _sampling.STREAM_INVARIANCE)
-    ex = np.maximum.reduce([
-        x_lo - xp, xp - x_hi, y_lo - yp, yp - y_hi, np.zeros_like(xp),
-    ])
+    # a running maximum; the operand order decides which of 0.0 and -0.0 wins
+    ex = np.subtract(x_lo, xp)
+    for m in (xp - x_hi, y_lo - yp, yp - y_hi, 0.0):
+        np.maximum(ex, m, out=ex)
     violations = [
         RegionViolation(
             index=int(i), x=float(xs[i]), y=float(ys[i]),

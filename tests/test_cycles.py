@@ -290,6 +290,11 @@ class TestBruteForceSearch:
         with pytest.raises(ValueError):
             brute_force_cycle_search(P0, 5, 10)
 
+    def test_rejects_empty_grid(self):
+        # zero seeds would answer "no cycles" without searching at all
+        with pytest.raises(ValueError, match="grid_n"):
+            brute_force_cycle_search(P0, 2, 0)
+
     def test_certificate_agrees_with_search(self):
         rng = make_rng(77)
         for _ in range(5):
@@ -318,3 +323,127 @@ class TestPolynomialRootOracle:
                 if two_cycle_y_of_x(p, x) < -1e-12:
                     continue
                 assert x == pytest.approx(xs, rel=1e-6, abs=1e-6), p
+
+
+def _reference_filter(p, period, roots_x, roots_y, residuals):
+    """The per-root Python filter the vectorised search replaced.
+
+    Returns the cycles and how often each rejection rule fired.
+    """
+    rejected = dict.fromkeys(
+        ("quadrant", "fixed_point", "shorter_period", "duplicate"), 0)
+    rq = regime_quantities(p)
+    fixed = [(0.0, 0.0)]
+    if rq.x_star is not None:
+        fixed.append((rq.x_star, rq.y_star))
+    found = []
+    for x, y, res in zip(roots_x, roots_y, residuals):
+        x, y = float(x), float(y)
+        orbit = [(x, y)]
+        for _ in range(period - 1):
+            x, y = cycles.step_w0_raw(p, x, y)
+            orbit.append((float(x), float(y)))
+        if any(not (px >= -1e-9 and py >= -1e-9) for px, py in orbit):
+            rejected["quadrant"] += 1
+            continue
+        if any(
+            max(abs(px - fx), abs(py - fy)) < cycles.DEDUP_RADIUS
+            for px, py in orbit for fx, fy in fixed
+        ):
+            rejected["fixed_point"] += 1
+            continue
+        if any(
+            max(abs(orbit[i][0] - orbit[j][0]), abs(orbit[i][1] - orbit[j][1]))
+            < cycles.DEDUP_RADIUS
+            for i in range(period) for j in range(i + 1, period)
+        ):
+            rejected["shorter_period"] += 1
+            continue
+        k = min(range(len(orbit)), key=lambda i: orbit[i])
+        canon = tuple(orbit[k:] + orbit[:k])
+        if any(
+            all(
+                max(abs(a[0] - b[0]), abs(a[1] - b[1])) < cycles.DEDUP_RADIUS
+                for a, b in zip(canon, c.states)
+            )
+            for c in found
+        ):
+            rejected["duplicate"] += 1
+            continue
+        found.append(cycles.Cycle(period=period, states=canon, residual=float(res)))
+    found.sort(key=lambda c: c.states)
+    return found, rejected
+
+
+def _synthetic_roots():
+    """Root candidates that hit every filter rule for P0 (x* = (1.5, 0.375))."""
+    nan = float("nan")
+    pts = [
+        (1.5, 0.375), (1.5 + 4e-7, 0.375 - 4e-7), (1.5 + 3e-6, 0.375),
+        (0.0, 0.0), (-0.0, 5e-7), (4e-6, 0.0),
+        (-1e-8, 0.4), (-5e-10, 0.4), (0.4, -2e-9), (nan, 0.4), (0.4, nan),
+        (-1e-9, 0.45), (0.45, -1e-9), (1.05e-6, 0.0),
+        (0.3, 0.7), (0.7, 0.3), (0.3 + 5e-7, 0.7), (0.3 + 1.05e-6, 0.7),
+        (2.0, 0.1), (0.1, 2.0), (2.0, 0.1), (0.25, 0.25 + 5e-7),
+        (0.6, 0.6 + 9.5e-7), (3.0, 0.5), (0.5, 3.0 - 9e-7), (1.0, 1e-12),
+        (1e-12, 1.0),
+    ]
+    rx, ry = (np.array(c) for c in zip(*pts))
+    res = np.linspace(1e-14, 9e-11, rx.size)
+    res[14] = -0.0  # a survivor: the sign of zero must come through
+    return rx, ry, res
+
+
+def _swap(p, x, y):
+    """A stand-in map with every off-diagonal point on a 2-cycle."""
+    return y, x
+
+
+class TestVectorFilterMatchesLoop:
+    """brute_force_cycle_search's root filter against the per-root loop."""
+
+    def _compare(self, monkeypatch, p, period, roots):
+        monkeypatch.setattr(cycles, "_newton_cycle_batch",
+                            lambda *args: tuple(a.copy() for a in roots))
+        want, rejected = _reference_filter(p, period, *roots)
+        got = brute_force_cycle_search(p, period, 3)
+        assert [repr(c) for c in got] == [repr(c) for c in want]
+        return want, rejected
+
+    @pytest.mark.parametrize("period", [2, 3, 4])
+    def test_real_map(self, monkeypatch, period):
+        want, rejected = self._compare(monkeypatch, P0, period, _synthetic_roots())
+        assert want and rejected["quadrant"] and rejected["fixed_point"]
+
+    def test_swap_map_period_two(self, monkeypatch):
+        monkeypatch.setattr(cycles, "step_w0_raw", _swap)
+        want, rejected = self._compare(monkeypatch, P0, 2, _synthetic_roots())
+        assert len(want) >= 4
+        assert all(rejected.values()), rejected
+
+    @pytest.mark.parametrize("period", [3, 4])
+    def test_swap_map_longer_period_sees_two_cycles(self, monkeypatch, period):
+        monkeypatch.setattr(cycles, "step_w0_raw", _swap)
+        want, rejected = self._compare(monkeypatch, P0, period, _synthetic_roots())
+        assert want == []
+        assert rejected["shorter_period"] >= 10
+
+    def test_no_roots(self, monkeypatch):
+        empty = (np.empty(0), np.empty(0), np.empty(0))
+        want, _ = self._compare(monkeypatch, P0, 4, empty)
+        assert want == []
+
+    @pytest.mark.parametrize("period", [2, 3, 4])
+    def test_real_searches(self, period):
+        rng = make_rng(80 + period)
+        for p in [P0, P_BOUNDARY] + [sample_w0_params(rng, "at_or_above")
+                                     for _ in range(4)]:
+            b = cycles.omega_bounds(p)
+            g = np.meshgrid(np.linspace(0.0, b.x_max, 12),
+                            np.linspace(0.0, b.y_max, 12))
+            roots = _newton_cycle_batch(p, g[0].ravel(), g[1].ravel(), period,
+                                        cycles.RESIDUAL_TOL)
+            assert roots[0].size > 0
+            want, _ = _reference_filter(p, period, *roots)
+            got = brute_force_cycle_search(p, period, 12)
+            assert [repr(c) for c in got] == [repr(c) for c in want] == []

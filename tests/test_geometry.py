@@ -7,7 +7,13 @@ from conftest import P0, P_BOUNDARY, make_rng, sample_w0_params
 from mosqdyn import RegionLabel, State, check_invariance, omega_bounds, region_of
 from mosqdyn.core import step_w0_batch
 from mosqdyn.errors import NotClaimedInvariantError, RegimeError
-from mosqdyn.geometry import region_box, sample_region
+from mosqdyn import geometry
+from mosqdyn.geometry import (
+    CONTAINMENT_TOL,
+    RegionViolation,
+    region_box,
+    sample_region,
+)
 
 
 class TestOmegaBounds:
@@ -134,6 +140,78 @@ class TestCheckInvariance:
         monkeypatch.setenv("MOSQDYN_THREADS", "3")
         threaded = check_invariance(P0, RegionLabel.OMEGA2, 5_000, seed=9)
         assert base == threaded
+
+
+def _edge_images(box):
+    """Images on, just inside and just outside every edge of a box."""
+    x_lo, x_hi, y_lo, y_hi = box
+    xm, ym = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
+    pts = [(xm, ym), (x_lo, ym), (x_hi, ym), (xm, y_lo), (xm, y_hi),
+           (x_lo, y_lo), (x_hi, y_hi), (-0.0, ym), (0.0, ym), (xm, -0.0),
+           (xm, 0.0), (-0.0, -0.0)]
+    for d in (1e-13, 1e-11, 0.25):
+        pts += [(x_lo - d, ym), (x_hi + d, ym), (xm, y_lo - d), (xm, y_hi + d),
+                (x_lo - d, y_hi + 2 * d)]
+    return tuple(np.array(c) for c in zip(*pts))
+
+
+def _reference_excursion(box, xp, yp):
+    """The stacked maximum check_invariance took before the running one."""
+    x_lo, x_hi, y_lo, y_hi = box
+    return np.maximum.reduce([
+        x_lo - xp, xp - x_hi, y_lo - yp, yp - y_hi, np.zeros_like(xp),
+    ])
+
+
+class TestExcursionMatchesStackedMaximum:
+    def _compare(self, monkeypatch, region, box, xp, yp):
+        xs, ys = xp + 0.5, yp + 0.25  # any distinct preimages will do
+        monkeypatch.setattr(geometry, "_sampled_images",
+                            lambda *args: (xs, ys, xp, yp))
+        report = check_invariance(P0, region, xp.size, seed=0)
+        ex = _reference_excursion(box, xp, yp)
+        want = tuple(
+            RegionViolation(int(i), float(xs[i]), float(ys[i]), float(xp[i]),
+                            float(yp[i]), float(ex[i]))
+            for i in np.flatnonzero(ex > CONTAINMENT_TOL)
+        )
+        assert repr(report.violations) == repr(want)
+        assert repr(report.max_excursion) == repr(float(ex.max()) if ex.size else 0.0)
+        return report
+
+    @pytest.mark.parametrize("region", [
+        RegionLabel.OMEGA1, RegionLabel.OMEGA2, RegionLabel.OMEGA_ONLY,
+    ])
+    def test_edges_and_violators(self, monkeypatch, region):
+        box = region_box(P0, region)
+        report = self._compare(monkeypatch, region, box, *_edge_images(box))
+        assert len(report.violations) >= 8
+
+    def test_inside_only_and_empty(self, monkeypatch):
+        box = region_box(P0, RegionLabel.OMEGA_ONLY)
+        xp, yp = _edge_images(box)
+        keep = slice(0, 7)
+        report = self._compare(monkeypatch, RegionLabel.OMEGA_ONLY, box,
+                               xp[keep], yp[keep])
+        assert report.violations == () and repr(report.max_excursion) == "0.0"
+        self._compare(monkeypatch, RegionLabel.OMEGA_ONLY, box,
+                      np.empty(0), np.empty(0))
+
+    def test_nan_image(self, monkeypatch):
+        box = region_box(P0, RegionLabel.OMEGA1)
+        xp, yp = _edge_images(box)
+        xp[3] = np.nan
+        report = self._compare(monkeypatch, RegionLabel.OMEGA1, box, xp, yp)
+        assert math.isnan(report.max_excursion)
+
+    def test_signed_zero_bounds(self, monkeypatch):
+        # a box with -0.0 edges makes x_lo - xp a -0.0 that ties with the
+        # final +0.0, so the tie-break of the maximum shows in the result
+        box = (-0.0, 1.0, -0.0, 1.0)
+        monkeypatch.setattr(geometry, "region_box", lambda p, region: box)
+        xp, yp = np.array([0.0, 0.0, 0.5]), np.array([0.0, 0.5, 0.0])
+        report = self._compare(monkeypatch, RegionLabel.OMEGA_ONLY, box, xp, yp)
+        assert report.violations == () and repr(report.max_excursion) == "0.0"
 
 
 class TestSampling:
