@@ -2,7 +2,8 @@
 
 Philox is a counter-based generator: a stream keyed by (seed, stream ids)
 yields the same draws no matter what other streams were consumed before it,
-which keeps sampled experiments reproducible under any chunking.
+which keeps sampled experiments reproducible.  MOSQDYN_THREADS caps only
+the row fan-out of basin rasters (`map_chunks`); sampled checks never fan out.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
+from . import _sampling
 from .core import Params, State, validate_params
 from .cycles import (
     RESIDUAL_TOL,
@@ -193,6 +194,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         raise UsageError(f"--seed: must be >= 0, got {ns.seed}")
     if ns.stride < 1:
         raise UsageError(f"--stride: must be >= 1, got {ns.stride}")
+    _sampling.thread_count()  # every subcommand refuses a bad MOSQDYN_THREADS
 
     fmt = ns.format
     if fmt is None:

@@ -106,9 +106,9 @@ def cycle_coefficients(p: Params) -> CycleCoefficients:
     al, be, mu, d0 = p.alpha, p.beta, p.mu, p.d0
     d = be * (2.0 - mu - d0) - mu * (2.0 - mu)
     if d <= 0.0:
-        # only reachable on the degenerate corner mu = 1, alpha + d0 = 1,
-        # beta = threshold, where the whole elimination is undefined
-        raise RegimeError(f"quartic denominator must be positive, got D = {d}")
+        # only on the degenerate corner mu = 1, alpha + d0 = 1, beta = threshold,
+        # where the elimination is undefined and no certificate can be built
+        raise CertificateFailure(f"quartic denominator must be positive, got D = {d}")
     a0 = 1.0 - d0 + be * d0 * (2.0 - d0) / d
     a1 = 1.0 - al - al * be * (be - mu + d0) / d
     a2 = -al * al * (1.0 + be * (be - mu + d0) / d)
@@ -255,49 +255,41 @@ def no_cycle_certificate(p: Params) -> CycleCertificate:
     )
 
 
-def _orbit_arrays(p: Params, x, y, period: int, want_jacobian: bool):
-    """period steps of the raw map; optionally the chain-rule Jacobian."""
-    cx, cy = np.asarray(x, dtype=float).copy(), np.asarray(y, dtype=float).copy()
-    if want_jacobian:
-        t11 = np.ones_like(cx)
-        t12 = np.zeros_like(cx)
-        t21 = np.zeros_like(cx)
-        t22 = np.ones_like(cx)
+def _orbit(p: Params, x, y, period: int):
+    """period steps of the raw map."""
     for _ in range(period):
-        if want_jacobian:
-            j11, j12, j21, j22 = jacobian_entries(p, cx)
-            t11, t12, t21, t22 = (
-                j11 * t11 + j12 * t21,
-                j11 * t12 + j12 * t22,
-                j21 * t11 + j22 * t21,
-                j21 * t12 + j22 * t22,
-            )
-        cx, cy = step_w0_raw(p, cx, cy)
-    if want_jacobian:
-        return cx, cy, (t11, t12, t21, t22)
-    return cx, cy
+        x, y = step_w0_raw(p, x, y)
+    return x, y
+
+
+def _orbit_jacobian(p: Params, x, y, period: int):
+    """period steps of the raw map, plus the chain-rule Jacobian of the orbit."""
+    t11, t12, t21, t22 = 1.0, 0.0, 0.0, 1.0
+    for _ in range(period):
+        j11, j12, j21, j22 = jacobian_entries(p, x)
+        t11, t12, t21, t22 = (j11 * t11 + j12 * t21, j11 * t12 + j12 * t22,
+                              j21 * t11 + j22 * t21, j21 * t12 + j22 * t22)
+        x, y = step_w0_raw(p, x, y)
+    return x, y, (t11, t12, t21, t22)
 
 
 def _newton_cycle_batch(p: Params, x0, y0, period: int, tol: float):
     """Damped Newton on W^period(z) - z from an array of seeds.
 
-    Seeds that wander toward the x = -1 singularity, blow up, or hit a
-    singular linearization are dropped; survivors are returned with their
-    final residuals.
+    Every unconverged seed tries the full step; one whose residual it does
+    not keep at or below the current one (NaN included) takes the half step
+    instead.  Seeds that wander toward the x = -1 singularity, blow up, or
+    hit a singular linearization are dropped; survivors are returned with
+    their final residuals.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    y = np.asarray(y0, dtype=float).copy()
+    x, y = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
     alive = np.isfinite(x) & np.isfinite(y)
-    converged = np.zeros_like(alive)
     for _ in range(_NEWTON_MAX_ITER):
-        if not np.any(alive & ~converged):
-            break
-        px, py, (t11, t12, t21, t22) = _orbit_arrays(p, x, y, period, True)
+        px, py, (t11, t12, t21, t22) = _orbit_jacobian(p, x, y, period)
         fx, fy = px - x, py - y
         res = np.maximum(np.abs(fx), np.abs(fy))
         scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
-        converged = alive & (res < tol * scale)
-        active = alive & ~converged
+        active = alive & ~(res < tol * scale)
         if not np.any(active):
             break
         a11, a12, a21, a22 = t11 - 1.0, t12, t21, t22 - 1.0
@@ -308,27 +300,17 @@ def _newton_cycle_batch(p: Params, x0, y0, period: int, tol: float):
         safe_det = np.where(det == 0.0, 1.0, det)
         dx = (a22 * fx - a12 * fy) / safe_det
         dy = (a11 * fy - a21 * fx) / safe_det
-        for damp in (1.0, _NEWTON_DAMPING):
-            nx = np.where(active, x - damp * dx, x)
-            ny = np.where(active, y - damp * dy, y)
-            if damp == 1.0:
-                tx, ty = _orbit_arrays(p, nx, ny, period, False)
-                with np.errstate(invalid="ignore"):
-                    grew = active & ~(
-                        np.maximum(np.abs(tx - nx), np.abs(ty - ny)) <= res
-                    )
-                if not np.any(grew):
-                    x, y = nx, ny
-                    break
-                x = np.where(grew, x, nx)
-                y = np.where(grew, y, ny)
-                active = grew
-            else:
-                x, y = nx, ny
+        nx = np.where(active, x - dx, x)
+        ny = np.where(active, y - dy, y)
+        tx, ty = _orbit(p, nx, ny, period)
+        with np.errstate(invalid="ignore"):
+            grew = active & ~(np.maximum(np.abs(tx - nx), np.abs(ty - ny)) <= res)
+        x = np.where(grew, x - _NEWTON_DAMPING * dx, nx)
+        y = np.where(grew, y - _NEWTON_DAMPING * dy, ny)
         bad = alive & (~np.isfinite(x) | ~np.isfinite(y)
                        | (1.0 + x < 1e-9) | (np.abs(x) > 1e9) | (np.abs(y) > 1e9))
         alive &= ~bad
-    px, py = _orbit_arrays(p, x, y, period, False)
+    px, py = _orbit(p, x, y, period)
     res = np.maximum(np.abs(px - x), np.abs(py - y))
     scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
     with np.errstate(invalid="ignore"):

@@ -146,16 +146,10 @@ def _sampled_images(p: Params, region: RegionLabel, n: int, seed: int,
                     stream: int):
     """Seeded samples of a region and their images, as (xs, ys, xp, yp).
 
-    Stepped in `_sampling.map_chunks` chunks; one chunk is returned uncopied.
+    The whole sample is stepped in one `step_w0_batch` call, never in chunks.
     """
     xs, ys = sample_region(p, region, n, seed, stream)
-    parts = _sampling.map_chunks(
-        lambda a, b: step_w0_batch(p, xs[a:b], ys[a:b]), n,
-    ) or [(xs, ys)]  # n == 0: an empty sample is its own image
-    if len(parts) == 1:
-        return xs, ys, *parts[0]
-    xp, yp = (np.concatenate(c) for c in zip(*parts))
-    return xs, ys, xp, yp
+    return xs, ys, *step_w0_batch(p, xs, ys)
 
 
 def check_invariance(p: Params, region: RegionLabel, n_samples: int,

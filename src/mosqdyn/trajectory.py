@@ -307,10 +307,10 @@ def basin_raster(p: Params, grid_n: int, max_iter: int, tol: float) -> BasinRast
     Row index follows y, column index follows x, both ascending from 0, so
     codes[i, j] is the limit class of the initial point (xs[j], ys[i]).
     Rows are processed in deterministic chunks (MOSQDYN_THREADS caps the
-    fan-out) and written back by index.  A chunk of at most NARROW_LANES
-    lattice points runs one scalar loop per point, which holds the
-    interpreter lock, so MOSQDYN_THREADS speeds up only wider chunks.  The
-    codes are the same bytes for every chunk width and thread count.
+    fan-out; no other work reads it) and written back by index.  A chunk of
+    at most NARROW_LANES lattice points runs one scalar loop per point, which
+    holds the interpreter lock, so MOSQDYN_THREADS speeds up only wider
+    chunks.  The codes are the same bytes for every chunk width and thread count.
     """
     require_w0(p)
     b = omega_bounds(p)

@@ -99,6 +99,30 @@ class TestParseArgs:
         assert (parse_args([*P0_FLAGS, "verify", *argv])
                 == parse_args(["verify", *P0_FLAGS, *argv]))
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-iter", "0"), ("--tol", "0"), ("--grid-n", "0"),
+        ("--samples", "-1"), ("--seed", "-1"), ("--stride", "0"),
+    ])
+    def test_out_of_range_value_exits_two(self, capsys, flag, value):
+        argv = ["simulate", *P0_FLAGS, "--x0", "1", "--y0", "0.5", flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag}:" in captured.err
+
+    @pytest.mark.parametrize("content,needle", [
+        (None, "cannot read"),
+        ("{not json", "is not valid JSON"),
+        ("[0.5, 2.0, 0.8, 0.3]", "must hold a JSON object"),
+    ], ids=["missing", "not_json", "json_list"])
+    def test_bad_config_file_exits_two(self, tmp_path, capsys, content, needle):
+        cfg_file = tmp_path / "run.json"
+        if content is not None:
+            cfg_file.write_text(content)
+        assert main(["verify", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert "--config" in err and needle in err
+
     def test_parse_is_deterministic(self):
         argv = ["verify", *P0_FLAGS, "--samples", "10", "--seed", "3"]
         assert parse_args(argv) == parse_args(argv)
@@ -232,6 +256,21 @@ class TestCycles:
         assert payload["certificate"] is None
         assert payload["ok"] is True
 
+    def test_degenerate_corner_reports_certificate_failure(self, capsys):
+        # mu = 1, alpha + d0 = 1, beta on the threshold: D = 0.  The search
+        # results are not pinned: Newton finds residual-level artifacts near
+        # the non-hyperbolic origin there.
+        status = main(["cycles", "--alpha", "0.5", "--beta", "2", "--mu", "1",
+                       "--d0", "0.5", "--grid-n", "7"])
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert status == 1
+        assert captured.err == ""
+        assert payload["certificate"] is None
+        assert "D = 0" in payload["certificate_error"]
+        assert payload["ok"] is False
+        assert [b["period"] for b in payload["brute_force"]] == [2, 3, 4]
+
 
 class TestBasin:
     def test_reference_codes(self, tmp_path):
@@ -275,6 +314,15 @@ class TestSweep:
         assert rows[0][5] == "na" and rows[1][5] == "true"
         assert rows[0][3] == "nan" and float(rows[2][3]) > 0.0
 
+    def test_degenerate_corner_row_fails_certificate(self, capsys):
+        status = main(["sweep", "--alpha", "0.5", "--beta", "4", "--mu", "1",
+                       "--d0", "0.5", "--grid-n", "2"])
+        rows = [line.split(",") for line in
+                capsys.readouterr().out.strip().split("\n")[1:]]
+        assert status == 0
+        assert [(r[1], r[5]) for r in rows] == [("at_threshold", "false"),
+                                               ("above_threshold", "true")]
+
 
 class TestDeterminismAndExitCodes:
     def test_verify_and_basin_are_byte_identical(self, tmp_path):
@@ -311,6 +359,22 @@ class TestDeterminismAndExitCodes:
         monkeypatch.setenv("MOSQDYN_THREADS", "zero")
         assert main(["verify", *P0_FLAGS, "--samples", "100"]) == 2
         assert "MOSQDYN_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", *P0_FLAGS, "--x0", "1", "--y0", "0.5", "--max-iter", "10"],
+        ["equilibria", *P0_FLAGS],
+        ["verify", *P0_FLAGS, "--samples", "10"],
+        ["cycles", *P0_FLAGS, "--grid-n", "1"],
+        ["basin", *P0_FLAGS, "--grid-n", "1"],
+        ["sweep", *P0_FLAGS, "--grid-n", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_every_subcommand_refuses_bad_thread_env(self, monkeypatch, capsys,
+                                                     argv):
+        monkeypatch.setenv("MOSQDYN_THREADS", "0")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "MOSQDYN_THREADS" in captured.err
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "eq.json"

@@ -23,7 +23,7 @@ from mosqdyn.cycles import (
     _reduced_quadratic_routes,
     _shifted_quadratic_routes,
 )
-from mosqdyn.errors import BranchError, RegimeError
+from mosqdyn.errors import BranchError, CertificateFailure, RegimeError
 
 
 class TestCoefficients:
@@ -51,6 +51,14 @@ class TestCoefficients:
     def test_below_threshold_refused(self):
         with pytest.raises(RegimeError):
             cycle_coefficients(validate_params(0.5, 1.0, 0.8, 0.3, 0.0))
+
+    def test_degenerate_corner_is_a_certificate_failure(self):
+        # mu = 1, alpha + d0 = 1 with beta on the threshold: D = 0, so the
+        # elimination is undefined and no certificate can be built
+        corner = validate_params(0.5, 2.0, 1.0, 0.5, 0.0)
+        for build in (cycle_coefficients, no_cycle_certificate):
+            with pytest.raises(CertificateFailure, match="D = 0"):
+                build(corner)
 
 
 class TestTwoCycleYOfX:
@@ -447,3 +455,144 @@ class TestVectorFilterMatchesLoop:
             want, _ = _reference_filter(p, period, *roots)
             got = brute_force_cycle_search(p, period, 12)
             assert [repr(c) for c in got] == [repr(c) for c in want] == []
+
+
+def _reference_orbit(p, x, y, period, want_jacobian):
+    """period steps of the raw map; optionally the chain-rule Jacobian."""
+    cx, cy = np.asarray(x, dtype=float).copy(), np.asarray(y, dtype=float).copy()
+    if want_jacobian:
+        t11 = np.ones_like(cx)
+        t12 = np.zeros_like(cx)
+        t21 = np.zeros_like(cx)
+        t22 = np.ones_like(cx)
+    for _ in range(period):
+        if want_jacobian:
+            j11, j12, j21, j22 = cycles.jacobian_entries(p, cx)
+            t11, t12, t21, t22 = (
+                j11 * t11 + j12 * t21,
+                j11 * t12 + j12 * t22,
+                j21 * t11 + j22 * t21,
+                j21 * t12 + j22 * t22,
+            )
+        cx, cy = cycles.step_w0_raw(p, cx, cy)
+    if want_jacobian:
+        return cx, cy, (t11, t12, t21, t22)
+    return cx, cy
+
+
+def _reference_newton(p, x0, y0, period, tol):
+    """The Newton search with a forked orbit helper and a damping loop."""
+    x = np.asarray(x0, dtype=float).copy()
+    y = np.asarray(y0, dtype=float).copy()
+    alive = np.isfinite(x) & np.isfinite(y)
+    converged = np.zeros_like(alive)
+    for _ in range(cycles._NEWTON_MAX_ITER):
+        if not np.any(alive & ~converged):
+            break
+        px, py, (t11, t12, t21, t22) = _reference_orbit(p, x, y, period, True)
+        fx, fy = px - x, py - y
+        res = np.maximum(np.abs(fx), np.abs(fy))
+        scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+        converged = alive & (res < tol * scale)
+        active = alive & ~converged
+        if not np.any(active):
+            break
+        a11, a12, a21, a22 = t11 - 1.0, t12, t21, t22 - 1.0
+        det = a11 * a22 - a12 * a21
+        singular = active & (np.abs(det) < 1e-300)
+        alive &= ~singular
+        active &= ~singular
+        safe_det = np.where(det == 0.0, 1.0, det)
+        dx = (a22 * fx - a12 * fy) / safe_det
+        dy = (a11 * fy - a21 * fx) / safe_det
+        for damp in (1.0, cycles._NEWTON_DAMPING):
+            nx = np.where(active, x - damp * dx, x)
+            ny = np.where(active, y - damp * dy, y)
+            if damp == 1.0:
+                tx, ty = _reference_orbit(p, nx, ny, period, False)
+                with np.errstate(invalid="ignore"):
+                    grew = active & ~(
+                        np.maximum(np.abs(tx - nx), np.abs(ty - ny)) <= res
+                    )
+                if not np.any(grew):
+                    x, y = nx, ny
+                    break
+                x = np.where(grew, x, nx)
+                y = np.where(grew, y, ny)
+                active = grew
+            else:
+                x, y = nx, ny
+        bad = alive & (~np.isfinite(x) | ~np.isfinite(y)
+                       | (1.0 + x < 1e-9) | (np.abs(x) > 1e9) | (np.abs(y) > 1e9))
+        alive &= ~bad
+    px, py = _reference_orbit(p, x, y, period, False)
+    res = np.maximum(np.abs(px - x), np.abs(py - y))
+    scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+    with np.errstate(invalid="ignore"):
+        ok = alive & np.isfinite(res) & (res < tol * scale)
+    return x[ok], y[ok], res[ok]
+
+
+def _wild_seeds(rng, n):
+    """Seeds off the grid: non-finite, at the x = -1 pole, huge, and random."""
+    inf, nan = float("inf"), float("nan")
+    special = [nan, inf, -inf, -1.0, -1.0 + 1e-12, -1.0 - 1e-12, 0.0, -0.0,
+               1e12, -1e12, 1e-300, 5.0]
+    sx = np.array(special + special[::-1])
+    sy = np.array(special[::-1] + special)
+    rx = np.concatenate([sx, rng.uniform(-3.0, 60.0, n)])
+    ry = np.concatenate([sy, rng.uniform(-3.0, 60.0, n)])
+    return rx, ry
+
+
+#: Below, at and above the threshold, both certificate branches, and the
+#: non-hyperbolic corner mu = 1, alpha + d0 = 1 on the threshold.
+_NEWTON_TUPLES = [
+    P0, P_BOUNDARY, P_B0_NEG,
+    validate_params(0.5, 1.0, 0.8, 0.3, 0.0),
+    validate_params(0.5, 2.0, 1.0, 0.5, 0.0),
+    validate_params(0.2, 9.0, 1.0, 0.8, 0.0),
+]
+
+
+class TestNewtonMatchesReference:
+    """_newton_cycle_batch against the forked-helper, damping-loop form."""
+
+    @staticmethod
+    def _assert_same(p, x0, y0, period, tol):
+        want = _reference_newton(p, x0, y0, period, tol)
+        got = _newton_cycle_batch(p, x0, y0, period, tol)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        return got
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-14])
+    @pytest.mark.parametrize("period", [2, 3, 4])
+    def test_grids(self, period, tol):
+        rng = make_rng(90 + period)
+        tuples = _NEWTON_TUPLES + [sample_w0_params(rng, "at_or_above")
+                                   for _ in range(3)]
+        found = 0
+        for p in tuples:
+            b = cycles.omega_bounds(p)
+            for n in (1, 7, 16):
+                g = np.meshgrid(np.linspace(0.0, b.x_max, n),
+                                np.linspace(0.0, b.y_max, n))
+                found += self._assert_same(p, g[0].ravel(), g[1].ravel(),
+                                           period, tol)[0].size
+        assert found > 0
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-14])
+    @pytest.mark.parametrize("period", [2, 3, 4])
+    def test_wild_seeds(self, period, tol):
+        rng = make_rng(95 + period)
+        for p in _NEWTON_TUPLES:
+            with np.errstate(all="ignore"):
+                self._assert_same(p, *_wild_seeds(rng, 40), period, tol)
+
+    def test_no_seed_alive(self):
+        nan = np.array([float("nan"), float("inf")])
+        with np.errstate(all="ignore"):
+            got = self._assert_same(P0, nan, nan[::-1], 2, 1e-10)
+        assert all(a.size == 0 for a in got)

@@ -141,6 +141,11 @@ class TestCheckInvariance:
         threaded = check_invariance(P0, RegionLabel.OMEGA2, 5_000, seed=9)
         assert base == threaded
 
+    def test_does_not_read_thread_env(self, monkeypatch):
+        base = check_invariance(P0, RegionLabel.OMEGA_ONLY, 1_000, seed=9)
+        monkeypatch.setenv("MOSQDYN_THREADS", "zero")  # refused where it is read
+        assert check_invariance(P0, RegionLabel.OMEGA_ONLY, 1_000, seed=9) == base
+
 
 def _edge_images(box):
     """Images on, just inside and just outside every edge of a box."""

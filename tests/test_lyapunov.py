@@ -114,6 +114,11 @@ class TestMonotonicityReport:
         monkeypatch.setenv("MOSQDYN_THREADS", "3")
         assert monotonicity_report(P0, 5_000, seed=9) == base
 
+    def test_does_not_read_thread_env(self, monkeypatch):
+        base = monotonicity_report(P0, 1_000, seed=9)
+        monkeypatch.setenv("MOSQDYN_THREADS", "zero")  # refused where it is read
+        assert monotonicity_report(P0, 1_000, seed=9) == base
+
     def test_below_threshold_refused(self):
         with pytest.raises(RegimeError):
             monotonicity_report(validate_params(0.5, 1.0, 0.8, 0.3, 0.0), 10, seed=7)

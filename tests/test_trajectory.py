@@ -17,7 +17,7 @@ from mosqdyn import (
 )
 from mosqdyn import trajectory
 from mosqdyn.core import CLAMP_TOL
-from mosqdyn.errors import DomainError
+from mosqdyn.errors import DomainError, UsageError
 from mosqdyn.trajectory import NARROW_LANES, classify_batch
 
 
@@ -232,6 +232,17 @@ class TestEscapeProbe:
 
 
 class TestClassifyBatch:
+    def test_shape_mismatch_refused(self):
+        with pytest.raises(ValueError, match="differ in shape"):
+            classify_batch(P0, np.zeros(3), np.zeros((3, 1)), 10, 1e-8)
+
+    def test_limit_labels_are_lowercase_names(self):
+        assert (OmegaLimitClass.CONVERGED_TO_POSITIVE_FIXED_POINT.label
+                == "converged_to_positive_fixed_point")
+        assert [c.label for c in OmegaLimitClass] == [
+            "converged_to_origin", "converged_to_positive_fixed_point",
+            "escape_x_unbounded", "undetermined"]
+
     def test_matches_scalar_iterate_exactly(self):
         rng = make_rng(87)
         for p, max_iter, tol in [
@@ -370,6 +381,11 @@ class TestBasinRaster:
         monkeypatch.setenv("MOSQDYN_THREADS", "4")
         threaded = basin_raster(P0, 12, 10**5, 1e-8)
         assert np.array_equal(base.codes, threaded.codes)
+
+    def test_reads_thread_env(self, monkeypatch):
+        monkeypatch.setenv("MOSQDYN_THREADS", "zero")
+        with pytest.raises(UsageError, match="MOSQDYN_THREADS"):
+            basin_raster(P0, 2, 100, 1e-8)
 
     def test_star_seeded_cell_classifies_positive_immediately(self):
         rq = regime_quantities(P0)
