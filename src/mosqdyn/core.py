@@ -27,8 +27,11 @@ One step function per data shape, and the clamp rule (negatives down to
 
 - ``step_general``: full map, unclamped; the reference tests compare against.
 - ``step_w0``: State to State; equilibria, lyapunov, trajectory.escape_probe.
-- ``step_w0_raw``: floats or arrays, unclamped; cycles Newton, scalar orbits.
+- ``step_w0_raw``: floats or arrays, unclamped; cycles Newton.
 - ``step_w0_into``: step_w0_raw into preallocated arrays; the wide orbit loop.
+- ``trajectory._run_lane`` writes step_w0_raw out inline, so that the scalar
+  orbit loop makes no call per step;
+  ``test_trajectory.TestReferenceLaneLoop`` pins it to step_w0_raw.
 - ``step_w0_batch``: arrays, clamped by ``_clamp_into``; geometry's sampling.
 """
 
@@ -167,7 +170,7 @@ def step_w0_raw(p: Params, x, y):
     No domain checks and no clamping; internal iteration loops use this and
     apply their own handling.  The operation sequence matches step_general
     with d1 = 0 exactly, so the two agree bit-for-bit there; step_w0_into
-    repeats it for preallocated arrays and must keep doing so.
+    and the scalar orbit loop repeat it and must keep doing so.
     """
     em = p.alpha * x / (1.0 + x)
     return p.beta * y - em - p.d0 * x + x, em - p.mu * y + y

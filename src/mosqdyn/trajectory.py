@@ -28,7 +28,6 @@ from .core import (
     require_w0,
     step_w0,
     step_w0_into,
-    step_w0_raw,
 )
 from .equilibria import beta_vs_threshold, regime_quantities
 from .errors import DomainError
@@ -39,8 +38,10 @@ NEAR_FACTOR = 10.0
 
 #: `classify_batch` runs the scalar lane loop on batches of at most this many
 #: lanes and the vector loop on wider ones.  The two cost the same at about
-#: 48 lanes on threshold orbits and about 70 on P0 orbits (2-core x86 host):
-#: below that, numpy's per-call dispatch outweighs the lanes' arithmetic.
+#: 64 lanes on threshold orbits and about 100-130 on P0 orbits (2-core x86
+#: host): below that, numpy's per-call dispatch outweighs the lanes'
+#: arithmetic.  48 is still the threshold crossover of the slower lane loop
+#: that this one replaced.
 NARROW_LANES = 48
 
 
@@ -95,11 +96,13 @@ class BasinRaster:
     codes: np.ndarray
 
 
-def _stopping_rule(p: Params, tol: float):
+def _stopping_rule(p: Params, tol: float, max_iter: int):
     """Validated (fixed points, near radius) of the stopping rule."""
     require_w0(p)
     if not tol > 0.0:  # also refuses NaN
         raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     rq = regime_quantities(p)
     fps = [(0.0, 0.0, OmegaLimitClass.CONVERGED_TO_ORIGIN)]
     if rq.x_star is not None:
@@ -108,25 +111,46 @@ def _stopping_rule(p: Params, tol: float):
     return fps, NEAR_FACTOR * tol
 
 
-def _run_lane(p: Params, x: float, y: float, n: int, tol: float, fps, near):
+def _run_lane(p: Params, x: float, y: float, n: int, tol: float, fps, near,
+              stride: int):
     """At most n steps of one orbit under the stopping rule of `iterate`.
 
-    Returns (limit, steps committed, x, y); limit is None when all n steps
-    were committed without a stop.
+    Returns (limit, steps committed, x, y, trail); limit is None when all n
+    steps were committed without a stop, and the flat list trail holds
+    x, y after every stride-th committed step.  The step is `step_w0_raw`
+    written out, in its exact operation order, so that a step makes no
+    call; `test_trajectory.TestReferenceLaneLoop` pins it to the loop that
+    calls `step_w0_raw`.  Lanes stay >= 0, so the near test of the origin
+    is two comparisons, and it runs before the step-size test because a
+    lane is far from every fixed point on most steps.
     """
-    for k in range(n):
-        xn, yn = step_w0_raw(p, x, y)
-        if xn < 0.0 or yn < 0.0:
-            xn, yn = _clamp(xn), _clamp(yn)
-        if abs(xn - x) < tol and abs(yn - y) < tol:
-            hit = None
-            for fx, fy, cls in fps:
-                if abs(x - fx) <= near and abs(y - fy) <= near:
-                    hit = cls if hit is None else OmegaLimitClass.UNDETERMINED
-            if hit is not None:
-                return hit, k, x, y
-        x, y = xn, yn
-    return None, n, x, y
+    alpha, beta, mu, d0 = p.alpha, p.beta, p.mu, p.d0
+    # Without a positive fixed point its near test can never pass.
+    sx, sy = fps[1][:2] if len(fps) > 1 else (math.inf, math.inf)
+    trail = []
+    done = 0
+    while done < n:
+        chunk = min(stride, n - done)
+        for k in range(done, done + chunk):
+            em = alpha * x / (1.0 + x)
+            xn = beta * y - em - d0 * x + x
+            yn = em - mu * y + y
+            if xn < 0.0 or yn < 0.0:
+                xn, yn = _clamp(xn), _clamp(yn)
+            if ((x <= near and y <= near
+                 or abs(x - sx) <= near and abs(y - sy) <= near)
+                    and abs(xn - x) < tol and abs(yn - y) < tol):
+                hit = None
+                for fx, fy, cls in fps:
+                    if abs(x - fx) <= near and abs(y - fy) <= near:
+                        hit = cls if hit is None else OmegaLimitClass.UNDETERMINED
+                return hit, k, x, y, trail
+            x, y = xn, yn
+        done += chunk
+        if chunk == stride:
+            trail.append(x)
+            trail.append(y)
+    return None, n, x, y, trail
 
 
 def iterate(p: Params, z0: State, max_iter: int, tol: float,
@@ -139,10 +163,11 @@ def iterate(p: Params, z0: State, max_iter: int, tol: float,
     state sits within NEAR_FACTOR*tol of a known fixed point; the
     classification follows that fixed point (UNDETERMINED when it is near
     both) and the probed step is not committed, so a start exactly on a
-    fixed point reports 0 iterations.  The steps run in the scalar lane
-    loop of narrow `classify_batch` calls, stride steps at a time.
+    fixed point reports 0 iterations.  All steps run in one call of the
+    scalar lane loop that narrow `classify_batch` calls use, which records
+    the raw sampled points; the samples are built from them afterwards.
     """
-    fps, near = _stopping_rule(p, tol)
+    fps, near = _stopping_rule(p, tol, max_iter)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     bounds = omega_bounds(p)
@@ -151,26 +176,18 @@ def iterate(p: Params, z0: State, max_iter: int, tol: float,
         st = State(x, y)
         return TrajectorySample(n, st, p.mu * x + p.beta * y, _region_in(bounds, st))
 
-    x, y = z0.x, z0.y
-    used = 0
-    samples = [make_sample(0, x, y)]
-    limit = OmegaLimitClass.UNDETERMINED
-    while used < max_iter:
-        hit, k, x, y = _run_lane(p, x, y, min(stride, max_iter - used), tol,
-                                 fps, near)
-        used += k
-        if hit is not None:
-            limit = hit
-            break
-        if used % stride == 0:
-            samples.append(make_sample(used, x, y))
+    hit, used, x, y, trail = _run_lane(p, z0.x, z0.y, max_iter, tol, fps, near,
+                                       stride)
+    samples = [make_sample(0, z0.x, z0.y)]
+    ns = range(stride, stride * len(trail) // 2 + 1, stride)
+    samples += map(make_sample, ns, trail[0::2], trail[1::2])
     if samples[-1].n != used:
         samples.append(make_sample(used, x, y))
     return TrajectoryReport(
         samples=tuple(samples),
         iterations_used=used,
         final=samples[-1].state,
-        limit=limit,
+        limit=OmegaLimitClass.UNDETERMINED if hit is None else hit,
         boundary_regime=beta_vs_threshold(p) == 0,
     )
 
@@ -181,9 +198,12 @@ def escape_probe(p: Params, z0: State, horizon: int) -> EscapeProbeReport:
     Requires the starting adult density above alpha/mu.  Reports whether it
     stayed above at every step, whether the final 10% of larvae samples is
     strictly increasing, and the final gap y - alpha/mu.  Steps go through
-    `step_w0`, so an image that overflows raises DomainError.
+    `step_w0`, so an image that overflows raises DomainError.  The horizon
+    must be at least 1, so that the tail holds two samples.
     """
     require_w0(p)
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
     y_cap = p.alpha / p.mu
     if z0.y <= y_cap:
         raise DomainError(
@@ -219,7 +239,7 @@ def classify_batch(p: Params, x0: np.ndarray, y0: np.ndarray, max_iter: int,
     loop, so the output does not depend on the batch width.  Starts must be
     finite and nonnegative, as for `State`.
     """
-    fps, near = _stopping_rule(p, tol)
+    fps, near = _stopping_rule(p, tol, max_iter)
     x = np.array(x0, dtype=float)
     y = np.array(y0, dtype=float)
     if x.shape != y.shape:
@@ -236,8 +256,9 @@ def classify_batch(p: Params, x0: np.ndarray, y0: np.ndarray, max_iter: int,
     else:
         lane_codes, lane_iters, lane_x, lane_y = flat
         for i in range(x.size):
-            hit, lane_iters[i], lane_x[i], lane_y[i] = _run_lane(
-                p, float(lane_x[i]), float(lane_y[i]), max_iter, tol, fps, near)
+            hit, lane_iters[i], lane_x[i], lane_y[i], _ = _run_lane(
+                p, float(lane_x[i]), float(lane_y[i]), max_iter, tol, fps, near,
+                max_iter)
             if hit is not None:
                 lane_codes[i] = hit
     return codes, iters, x, y
@@ -257,9 +278,19 @@ def _classify_wide(p, max_iter, tol, fps, near, codes, iters, fx, fy) -> None:
     small, hit = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     near_fp = [np.empty(n, dtype=bool) for _ in fps]
     live = np.ones(n, dtype=bool)
+    origin_only = len(fps) == 1
     for it in range(max_iter):
         step_w0_into(p, x, y, xn, yn, em)
         _clamp_into(xn, yn)
+        if origin_only:
+            # No lane stops before it is near the origin, and that test is
+            # three ufuncs against the step-size test's seven.
+            np.maximum(x, y, out=d)  # |x - 0| = x: lanes stay >= 0
+            np.less_equal(d, near, out=small)
+            if not small.any():
+                x, xn = xn, x
+                y, yn = yn, y
+                continue
         np.subtract(xn, x, out=d)
         np.abs(d, out=d)
         np.subtract(yn, y, out=e)
@@ -313,6 +344,8 @@ def basin_raster(p: Params, grid_n: int, max_iter: int, tol: float) -> BasinRast
     chunks.  The codes are the same bytes for every chunk width and thread count.
     """
     require_w0(p)
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
     b = omega_bounds(p)
     xs = np.linspace(0.0, b.x_max, grid_n)
     ys = np.linspace(0.0, b.y_max, grid_n)

@@ -16,9 +16,16 @@ from mosqdyn import (
     validate_params,
 )
 from mosqdyn import trajectory
-from mosqdyn.core import CLAMP_TOL
+from mosqdyn.core import CLAMP_TOL, _clamp, step_w0_raw
+from mosqdyn.equilibria import beta_vs_threshold
 from mosqdyn.errors import DomainError, UsageError
-from mosqdyn.trajectory import NARROW_LANES, classify_batch
+from mosqdyn.geometry import _region_in
+from mosqdyn.trajectory import (
+    NARROW_LANES,
+    TrajectoryReport,
+    TrajectorySample,
+    classify_batch,
+)
 
 
 class TestIterate:
@@ -79,6 +86,18 @@ class TestIterate:
     def test_nan_tol_is_refused(self):
         with pytest.raises(ValueError):
             iterate(P0, State(1.0, 0.5), 50, float("nan"))
+
+    def test_negative_budget_is_refused(self):
+        # classify_batch used to report iters = -5 here and iterate 0
+        with pytest.raises(ValueError, match="max_iter"):
+            iterate(P0, State(1.0, 0.5), -5, 1e-8)
+        with pytest.raises(ValueError, match="max_iter"):
+            classify_batch(P0, [1.0], [0.5], -5, 1e-8)
+        rep = iterate(P0, State(1.0, 0.5), 0, 1e-8)
+        codes, iters, _, _ = classify_batch(P0, [1.0], [0.5], 0, 1e-8)
+        assert rep.iterations_used == int(iters[0]) == 0
+        assert rep.limit is OmegaLimitClass.UNDETERMINED
+        assert int(codes[0]) == int(rep.limit)
 
 
 class TestLargeAdultStarts:
@@ -187,6 +206,13 @@ class TestEscapeProbe:
     def test_requires_y_above_cap(self):
         with pytest.raises(DomainError):
             escape_probe(P0, State(0.0, 0.625), 100)
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_is_refused(self, horizon):
+        # a one-point tail used to read as strictly increasing
+        with pytest.raises(ValueError, match="horizon"):
+            escape_probe(P0, State(1.0, 10.0), horizon)
+        assert escape_probe(P0, State(1.0, 10.0), 1).horizon == 1
 
     def test_adults_strictly_decrease_while_above_cap(self):
         # y' - y = alpha*x/(1+x) - mu*y < alpha - mu*(alpha/mu) = 0 up there
@@ -320,43 +346,156 @@ class TestClassifyBatchWidths:
 
 
 class TestOneClampRule:
-    """Every loop clamps rounding-noise negatives to 0 and raises beyond."""
+    """Every loop clamps rounding-noise negatives to 0 and raises beyond.
+
+    The tuples break alpha + d0 <= 1, so the map itself can send x below 0;
+    `w0_regime` is forced on so that every loop runs them.  From (X0, y0)
+    the x-image is the given multiple of CLAMP_TOL, and the clamped image
+    (0, y1) lies near the origin with a step below tol, so an orbit that
+    clamps stops there after one step.  mu = 1 leaves the origin as the only
+    fixed point; mu = 0.01 adds a positive one, so the wide loop runs both
+    of its stopping paths.
+    """
+
+    X0 = 1.1e-7
+    MUS = (1.0, 0.01)
 
     @staticmethod
-    def _substitute_map(monkeypatch, x_image):
-        def raw(p, x, y):
-            return x_image + 0.0 * x, 0.5 * y
+    def _forced(mu):
+        p = validate_params(0.05, 0.5, mu, 0.99)
+        object.__setattr__(p, "w0_regime", True)
+        return p
 
-        def into(p, x, y, xn, yn, em):
-            xn[...], yn[...] = raw(p, x, y)
+    def _start(self, p, x_image):
+        em = p.alpha * self.X0 / (1.0 + self.X0)
+        y0 = (em + p.d0 * self.X0 - self.X0 + x_image) / p.beta
+        assert step_w0_raw(p, self.X0, y0)[0] == pytest.approx(x_image, rel=1e-9)
+        return y0
 
-        monkeypatch.setattr(trajectory, "step_w0_raw", raw)
-        monkeypatch.setattr(trajectory, "step_w0_into", into)
+    def test_noise_is_clamped_in_every_loop(self):
+        for mu in self.MUS:
+            p = self._forced(mu)
+            y0 = self._start(p, -0.5 * CLAMP_TOL)
+            rep = iterate(p, State(self.X0, y0), 1000, 1e-8)
+            assert rep.limit is OmegaLimitClass.CONVERGED_TO_ORIGIN
+            assert rep.iterations_used == 1
+            assert rep.final.x == 0.0
+            for width in (1, NARROW_LANES + 1):
+                codes, iters, fx, fy = classify_batch(
+                    p, np.full(width, self.X0), np.full(width, y0), 1000, 1e-8)
+                assert np.all(codes == int(rep.limit))
+                assert np.all(iters == rep.iterations_used)
+                assert np.all(fx == 0.0) and not np.signbit(fx).any()
+                assert np.all(fy == rep.final.y)
 
-    def test_noise_is_clamped_in_every_loop(self, monkeypatch):
-        self._substitute_map(monkeypatch, -0.5 * CLAMP_TOL)
-        rep = iterate(P0, State(1.0, 0.5), 1000, 1e-8)
-        assert rep.limit is OmegaLimitClass.CONVERGED_TO_ORIGIN
-        assert rep.final.x == 0.0
-        for width in (1, NARROW_LANES + 1):
-            codes, iters, fx, fy = classify_batch(
-                P0, np.full(width, 1.0), np.full(width, 0.5), 1000, 1e-8)
-            assert np.all(codes == int(rep.limit))
-            assert np.all(iters == rep.iterations_used)
-            assert np.all(fx == 0.0) and not np.signbit(fx).any()
-            assert np.all(fy == rep.final.y)
-
-    def test_beyond_tolerance_raises_in_every_loop(self, monkeypatch):
-        self._substitute_map(monkeypatch, -10.0 * CLAMP_TOL)
-        with pytest.raises(DomainError):
-            iterate(P0, State(1.0, 0.5), 1000, 1e-8)
-        for width in (1, NARROW_LANES + 1):
+    def test_beyond_tolerance_raises_in_every_loop(self):
+        for mu in self.MUS:
+            p = self._forced(mu)
+            y0 = self._start(p, -10.0 * CLAMP_TOL)
             with pytest.raises(DomainError):
-                classify_batch(P0, np.full(width, 1.0), np.full(width, 0.5),
-                               1000, 1e-8)
+                iterate(p, State(self.X0, y0), 1000, 1e-8)
+            for width in (1, NARROW_LANES + 1):
+                with pytest.raises(DomainError):
+                    classify_batch(p, np.full(width, self.X0), np.full(width, y0),
+                                   1000, 1e-8)
+
+
+def _reference_run_lane(p, x, y, n, tol, fps, near):
+    """The lane loop as it was before its step was written out inline."""
+    for k in range(n):
+        xn, yn = step_w0_raw(p, x, y)
+        if xn < 0.0 or yn < 0.0:
+            xn, yn = _clamp(xn), _clamp(yn)
+        if abs(xn - x) < tol and abs(yn - y) < tol:
+            hit = None
+            for fx, fy, cls in fps:
+                if abs(x - fx) <= near and abs(y - fy) <= near:
+                    hit = cls if hit is None else OmegaLimitClass.UNDETERMINED
+            if hit is not None:
+                return hit, k, x, y
+        x, y = xn, yn
+    return None, n, x, y
+
+
+def _reference_iterate(p, z0, max_iter, tol, stride):
+    """`iterate` as it was: one reference lane call per stride chunk."""
+    fps, near = trajectory._stopping_rule(p, tol, max_iter)
+    bounds = omega_bounds(p)
+
+    def make_sample(n, x, y):
+        st = State(x, y)
+        return TrajectorySample(n, st, p.mu * x + p.beta * y, _region_in(bounds, st))
+
+    x, y = z0.x, z0.y
+    used = 0
+    samples = [make_sample(0, x, y)]
+    limit = OmegaLimitClass.UNDETERMINED
+    while used < max_iter:
+        hit, k, x, y = _reference_run_lane(p, x, y, min(stride, max_iter - used),
+                                           tol, fps, near)
+        used += k
+        if hit is not None:
+            limit = hit
+            break
+        if used % stride == 0:
+            samples.append(make_sample(used, x, y))
+    if samples[-1].n != used:
+        samples.append(make_sample(used, x, y))
+    return TrajectoryReport(tuple(samples), used, samples[-1].state, limit,
+                            beta_vs_threshold(p) == 0)
+
+
+REFERENCE_CASES = ["p0", "boundary", "sampled", "ambiguous", "budget", "large_y"]
+
+
+def _reference_lanes(case):
+    """(p, starts, max_iter, tol): five starts of the case plus its fixed points."""
+    rng = make_rng(95)
+    if case == "sampled":
+        p = sample_w0_params(rng, "above")
+        xs, ys = sample_omega_points(p, rng, 5)
+        max_iter, tol = 20_000, 1e-8
+    else:
+        p, xs, ys, max_iter, tol = _lanes(case, 5, rng)
+    starts = [(0.0, 0.0)] + list(zip(xs.tolist(), ys.tolist()))
+    rq = regime_quantities(p)
+    if rq.x_star is not None:
+        starts.append((rq.x_star, rq.y_star))
+    return p, starts, max_iter, tol
+
+
+class TestReferenceLaneLoop:
+    """The call-free lane loop and `iterate` against the loop that called
+    `step_w0_raw` once per step, bit for bit."""
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_lane_loop_matches_reference(self, case):
+        p, starts, max_iter, tol = _reference_lanes(case)
+        fps, near = trajectory._stopping_rule(p, tol, max_iter)
+        for x0, y0 in starts:
+            want = _reference_run_lane(p, x0, y0, max_iter, tol, fps, near)
+            hit, k, x, y, _ = trajectory._run_lane(p, x0, y0, max_iter, tol, fps,
+                                                   near, max_iter)
+            assert (hit, k, x.hex(), y.hex()) == (
+                want[0], want[1], want[2].hex(), want[3].hex())
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_iterate_matches_reference_at_every_stride(self, case):
+        p, starts, max_iter, tol = _reference_lanes(case)
+        for x0, y0 in starts:
+            for stride in (1, 7, max_iter):
+                got = iterate(p, State(x0, y0), max_iter, tol, stride)
+                want = _reference_iterate(p, State(x0, y0), max_iter, tol, stride)
+                assert repr(got) == repr(want)
 
 
 class TestBasinRaster:
+    @pytest.mark.parametrize("grid_n", [0, -2])
+    def test_empty_grid_is_refused(self, grid_n):
+        # used to return an empty raster; the cycle search already refused
+        with pytest.raises(ValueError, match="grid_n"):
+            basin_raster(P0, grid_n, 100, 1e-8)
+
     def test_single_cell_grid_is_the_origin(self):
         raster = basin_raster(P0, 1, 1000, 1e-8)
         assert raster.codes.shape == (1, 1)
