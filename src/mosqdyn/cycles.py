@@ -318,6 +318,23 @@ def _newton_cycle_batch(p: Params, x0, y0, period: int, tol: float):
     return x[ok], y[ok], res[ok]
 
 
+def _at_or_below_threshold(p: Params) -> bool:
+    """beta <= mu*(1 + d0/alpha), decided exactly on the float constants.
+
+    Then phi = mu*x + beta*y changes by x*((beta - mu)*alpha/(1 + x) - mu*d0)
+    < 0 in every step from x > 0.  The changes sum to 0 over a cycle, so
+    every point of a cycle has x = 0, and the origin is the only periodic
+    point.  `beta_vs_threshold`'s relative band would also admit tuples
+    just above the threshold, where phi rises for x < x*.
+    """
+    # Imported here: at module level it would add about 3 ms and 0.3 MB to
+    # the start-up of every command.
+    from fractions import Fraction
+
+    alpha, beta, mu, d0 = map(Fraction, (p.alpha, p.beta, p.mu, p.d0))
+    return beta <= mu * (1 + d0 / alpha)
+
+
 def _canonical_rotation(pts):
     k = min(range(len(pts)), key=lambda i: pts[i])
     return tuple(pts[k:] + pts[:k])
@@ -328,13 +345,15 @@ def brute_force_cycle_search(p: Params, period: int, grid_n: int,
     """Hunt genuine period-p orbits by Newton from a grid over the rectangle.
 
     Each converged root is stepped period - 1 times, all roots at once, and
-    dropped by three rules in this order: an orbit point leaves the closed
-    positive quadrant (below -1e-9, or NaN); an orbit point lies within
-    DEDUP_RADIUS (max norm) of a known fixed point; two orbit points lie
-    within DEDUP_RADIUS, so the minimal period is shorter.  Only the
-    survivors, in root order, are rotated to a canonical start and
-    deduplicated (DEDUP_RADIUS, up to orbit rotation).  An empty list is
-    the expected outcome for every admissible parameter set.
+    dropped by any of four rules: an orbit point leaves the closed positive
+    quadrant (below -1e-9, or NaN); an orbit point lies within DEDUP_RADIUS
+    (max norm) of a known fixed point; two orbit points lie within
+    DEDUP_RADIUS, so the minimal period is shorter; beta is at or below the
+    threshold and an orbit point has x > 0, which no cycle has there (see
+    `_at_or_below_threshold`).  Only the survivors, in root order, are
+    rotated to a canonical start and deduplicated (DEDUP_RADIUS, up to
+    orbit rotation).  An empty list is the expected outcome for every
+    admissible parameter set.
     """
     require_w0(p)
     if period not in (2, 3, 4):
@@ -363,6 +382,8 @@ def brute_force_cycle_search(p: Params, period: int, grid_n: int,
     gaps.append((xs[i] - xs[j], ys[i] - ys[j]))  # shorter minimal period
     for dx, dy in gaps:
         keep &= ~(np.maximum(np.abs(dx), np.abs(dy)) < DEDUP_RADIUS).any(axis=0)
+    if _at_or_below_threshold(p):
+        keep &= ~(xs > 0.0).any(axis=0)
 
     cycles: list[Cycle] = []
     for r in np.flatnonzero(keep):

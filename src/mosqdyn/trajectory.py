@@ -38,11 +38,10 @@ NEAR_FACTOR = 10.0
 
 #: `classify_batch` runs the scalar lane loop on batches of at most this many
 #: lanes and the vector loop on wider ones.  The two cost the same at about
-#: 64 lanes on threshold orbits and about 100-130 on P0 orbits (2-core x86
+#: 64-72 lanes on threshold orbits and about 128 on P0 orbits (2-core x86
 #: host): below that, numpy's per-call dispatch outweighs the lanes'
-#: arithmetic.  48 is still the threshold crossover of the slower lane loop
-#: that this one replaced.
-NARROW_LANES = 48
+#: arithmetic.  The constant is the lower of the two crossovers.
+NARROW_LANES = 64
 
 
 class OmegaLimitClass(enum.IntEnum):
@@ -235,7 +234,8 @@ def classify_batch(p: Params, x0: np.ndarray, y0: np.ndarray, max_iter: int,
     float64, float64) in the input's shape.  Batches of at most NARROW_LANES
     lanes run `iterate`'s scalar loop once per lane, because per-step numpy
     dispatch would cost more than the arithmetic; wider batches run one
-    vector loop over all lanes.  Every lane gets the same bytes from either
+    vector loop over all lanes.  Both loops test nearness to a fixed point,
+    then the step size.  Every lane gets the same bytes from either
     loop, so the output does not depend on the batch width.  Starts must be
     finite and nonnegative, as for `State`.
     """
@@ -267,49 +267,40 @@ def classify_batch(p: Params, x0: np.ndarray, y0: np.ndarray, max_iter: int,
 def _classify_wide(p, max_iter, tol, fps, near, codes, iters, fx, fy) -> None:
     """The stopping rule over all lanes at once, allocating nothing per step.
 
-    fx, fy hold the starts on entry and the final states on return.  A lane
-    that stops is recorded, then set to NaN: NaN never moves less than tol,
-    is never near a fixed point and is skipped by `_clamp_into`, so
-    stopped lanes drop out of every per-step test without compaction.
+    Like `_run_lane`, each step tests nearness to every fixed point first
+    and runs the step-size test only when some lane is near one.  fx, fy
+    hold the starts on entry and the final states on return.  A lane that
+    stops is recorded, then set to NaN: NaN never moves less than tol, is
+    never near a fixed point and is skipped by `_clamp_into`, so stopped
+    lanes drop out of every per-step test without compaction.
     """
     n = fx.size
     x, y = fx.copy(), fy.copy()
     xn, yn, em, d, e = (np.empty(n) for _ in range(5))
     small, hit = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    near_fp = [np.empty(n, dtype=bool) for _ in fps]
+    near_fp = [np.empty(n, dtype=bool) for _ in fps]  # fps[0] is the origin
+    positive = list(zip(fps[1:], near_fp[1:]))
     live = np.ones(n, dtype=bool)
-    origin_only = len(fps) == 1
     for it in range(max_iter):
         step_w0_into(p, x, y, xn, yn, em)
         _clamp_into(xn, yn)
-        if origin_only:
-            # No lane stops before it is near the origin, and that test is
-            # three ufuncs against the step-size test's seven.
-            np.maximum(x, y, out=d)  # |x - 0| = x: lanes stay >= 0
-            np.less_equal(d, near, out=small)
-            if not small.any():
-                x, xn = xn, x
-                y, yn = yn, y
-                continue
-        np.subtract(xn, x, out=d)
-        np.abs(d, out=d)
-        np.subtract(yn, y, out=e)
-        np.abs(e, out=e)
-        np.maximum(d, e, out=d)
-        np.less(d, tol, out=small)
-        if small.any():
-            hit.fill(False)
-            for (fpx, fpy, _), mk in zip(fps, near_fp):
-                if fpx == 0.0 and fpy == 0.0:
-                    np.maximum(x, y, out=d)  # |x - 0| = x: lanes stay >= 0
-                else:
-                    np.subtract(x, fpx, out=d)
-                    np.abs(d, out=d)
-                    np.subtract(y, fpy, out=e)
-                    np.abs(e, out=e)
-                    np.maximum(d, e, out=d)
-                np.less_equal(d, near, out=mk)
-                np.logical_or(hit, mk, out=hit)
+        np.maximum(x, y, out=d)  # |x - 0| = x: lanes stay >= 0
+        np.less_equal(d, near, out=near_fp[0])
+        for (fpx, fpy, _), mk in positive:
+            np.subtract(x, fpx, out=d)
+            np.abs(d, out=d)
+            np.subtract(y, fpy, out=e)
+            np.abs(e, out=e)
+            np.maximum(d, e, out=d)
+            np.less_equal(d, near, out=mk)
+        np.logical_or(near_fp[0], near_fp[-1], out=hit)
+        if hit.any():
+            np.subtract(xn, x, out=d)
+            np.abs(d, out=d)
+            np.subtract(yn, y, out=e)
+            np.abs(e, out=e)
+            np.maximum(d, e, out=d)
+            np.less(d, tol, out=small)
             np.logical_and(hit, small, out=hit)
             if hit.any():
                 for (_, _, cls), mk in zip(fps, near_fp):

@@ -257,9 +257,9 @@ class TestCycles:
         assert payload["ok"] is True
 
     def test_degenerate_corner_reports_certificate_failure(self, capsys):
-        # mu = 1, alpha + d0 = 1, beta on the threshold: D = 0.  The search
-        # results are not pinned: Newton finds residual-level artifacts near
-        # the non-hyperbolic origin there.
+        # mu = 1, alpha + d0 = 1, beta on the threshold: D = 0.  Newton finds
+        # residual-level artifacts near the non-hyperbolic origin there, and
+        # the search drops them: at or below the threshold no cycle exists.
         status = main(["cycles", "--alpha", "0.5", "--beta", "2", "--mu", "1",
                        "--d0", "0.5", "--grid-n", "7"])
         captured = capsys.readouterr()
@@ -270,6 +270,7 @@ class TestCycles:
         assert "D = 0" in payload["certificate_error"]
         assert payload["ok"] is False
         assert [b["period"] for b in payload["brute_force"]] == [2, 3, 4]
+        assert [b["cycles"] for b in payload["brute_force"]] == [[], [], []]
 
 
 class TestBasin:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from mosqdyn.cycles import (
     _reduced_quadratic_routes,
     _shifted_quadratic_routes,
 )
+from mosqdyn.equilibria import beta_vs_threshold
 from mosqdyn.errors import BranchError, CertificateFailure, RegimeError
 
 
@@ -293,6 +296,26 @@ class TestBruteForceSearch:
         assert rx[0] == pytest.approx(1.5, abs=1e-9)
         # a grid that contains the fixed point still reports no cycles
         assert brute_force_cycle_search(P0, 2, 11) == []
+
+    #: mu = 1, alpha + d0 = 1, beta on the threshold: J(0)^2 = I there.
+    CORNER = validate_params(0.5, 2.0, 1.0, 0.5, 0.0)
+
+    @pytest.mark.parametrize("period", [2, 3, 4])
+    def test_no_cycles_at_degenerate_corner(self, period):
+        # Newton converges to residual-level period-2 artifacts near the
+        # non-hyperbolic origin on these grids; no cycle exists there
+        for grid_n in (7, 30):
+            assert brute_force_cycle_search(self.CORNER, period, grid_n) == []
+
+    def test_threshold_rule_is_exact(self):
+        # one ulp either side of beta = 2 is on the threshold within
+        # beta_vs_threshold's band; only the exact comparison tells them apart
+        up, down = (validate_params(0.5, math.nextafter(2.0, b), 1.0, 0.5, 0.0)
+                    for b in (3.0, 1.0))
+        assert beta_vs_threshold(up) == beta_vs_threshold(down) == 0
+        assert cycles._at_or_below_threshold(self.CORNER)
+        assert cycles._at_or_below_threshold(down)
+        assert not cycles._at_or_below_threshold(up)
 
     def test_rejects_unsupported_period(self):
         with pytest.raises(ValueError):

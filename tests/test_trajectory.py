@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -287,15 +289,24 @@ class TestClassifyBatch:
                 assert float(fy[i]) == rep.final.y
 
 
+#: Above the threshold with x* about 0.8 and y* about 8; its orbits take
+#: thousands of steps to settle.
+P_SLOW = validate_params(0.9, 0.06, 0.05, 0.1)
+
+
 def _lanes(case, width, rng):
     """(p, xs, ys, max_iter, tol) for one identity case at the given width."""
-    p, max_iter, tol = {
-        "p0": (P0, 20_000, 1e-8),
-        "boundary": (P_BOUNDARY, 200_000, 1e-4),
-        "ambiguous": (TestAmbiguousLimit.P_NEAR, 1000, 1e-8),
-        "large_y": (P0, 10**6, 1e-8),
-        "budget": (P0, 60, 1e-8),
-    }[case]
+    if case == "sampled":
+        p, max_iter, tol = sample_w0_params(rng, "above"), 20_000, 1e-8
+    else:
+        p, max_iter, tol = {
+            "p0": (P0, 20_000, 1e-8),
+            "boundary": (P_BOUNDARY, 200_000, 1e-4),
+            "ambiguous": (TestAmbiguousLimit.P_NEAR, 1000, 1e-8),
+            "large_y": (P0, 10**6, 1e-8),
+            "budget": (P0, 60, 1e-8),
+            "slow": (P_SLOW, 20_000, 1e-8),
+        }[case]
     xs, ys = sample_omega_points(p, rng, width)
     if case == "ambiguous":
         xs, ys = rng.uniform(0.0, 6e-8, width), rng.uniform(0.0, 6e-8, width)
@@ -304,14 +315,16 @@ def _lanes(case, width, rng):
     return p, xs, ys, max_iter, tol
 
 
-#: Lane counts on both sides of the narrow/wide switch, plus a wide 2-D grid.
-WIDTHS = {1: (1, 1), NARROW_LANES: (1, NARROW_LANES),
+#: Lane counts on both sides of the narrow/wide switch, two more narrow
+#: ones, and a wide 2-D grid.
+WIDTHS = {1: (1, 1), 48: (1, 48), 49: (49, 1), NARROW_LANES: (1, NARROW_LANES),
           NARROW_LANES + 1: (NARROW_LANES + 1, 1), 260: (20, 13)}
 
 
 class TestClassifyBatchWidths:
     @pytest.mark.parametrize("width", list(WIDTHS))
-    @pytest.mark.parametrize("case", ["p0", "boundary", "ambiguous", "large_y", "budget"])
+    @pytest.mark.parametrize("case", ["p0", "boundary", "ambiguous", "large_y", "budget",
+                                      "sampled", "slow"])
     def test_every_width_matches_scalar_iterate(self, case, width):
         p, xs, ys, max_iter, tol = _lanes(case, width, make_rng(90 + width))
         shape = WIDTHS[width]
@@ -345,6 +358,52 @@ class TestClassifyBatchWidths:
             classify_batch(P0, [1.0], [0.5], 50, float("nan"))
 
 
+#: tol = 0.1 * 2**-24 makes near = NEAR_FACTOR * tol exactly 2**-24.
+NEAR_TOL, NEAR = 0.1 * 2.0**-24, 2.0**-24
+#: P_SLOW with beta below its threshold 0.05 * (1 + 0.1/0.9): origin only.
+P_SLOW_BELOW = validate_params(0.9, 0.05, 0.05, 0.1)
+_STAR = regime_quantities(P_SLOW)
+_X_SLOW, _Y_SLOW = _STAR.x_star, _STAR.y_star
+_POS = OmegaLimitClass.CONVERGED_TO_POSITIVE_FIXED_POINT
+_ORIGIN = OmegaLimitClass.CONVERGED_TO_ORIGIN
+#: (p, x0, y0, iterations, limit): each tie and the start one ulp farther out.
+NEAR_TIES = {
+    "y_star_plus": (P_SLOW, _X_SLOW, _Y_SLOW + NEAR, 0, _POS),
+    "y_star_plus_ulp": (P_SLOW, _X_SLOW, math.nextafter(_Y_SLOW + NEAR, math.inf),
+                        1, _POS),
+    "y_star_minus": (P_SLOW, _X_SLOW, _Y_SLOW - NEAR, 0, _POS),
+    "y_star_minus_ulp": (P_SLOW, _X_SLOW, math.nextafter(_Y_SLOW - NEAR, -math.inf),
+                         1, _POS),
+    "origin": (P_SLOW_BELOW, 0.0, NEAR, 0, _ORIGIN),
+    "origin_ulp": (P_SLOW_BELOW, 0.0, math.nextafter(NEAR, 1.0), 1, _ORIGIN),
+}
+
+
+class TestNearRadiusIsClosed:
+    """A lane exactly `near` away from a fixed point is near it; one ulp
+    farther out is not.
+
+    Each tie start steps by less than tol, so it stops at once, and the
+    start one ulp farther out takes one step first.  Both loops must agree
+    on the tie, at the origin and at the positive fixed point.
+    """
+
+    def test_premise(self):
+        assert trajectory.NEAR_FACTOR * NEAR_TOL == NEAR
+        assert regime_quantities(P_SLOW_BELOW).x_star is None
+
+    @pytest.mark.parametrize("start", NEAR_TIES)
+    def test_exact_iterations_in_every_loop(self, start):
+        p, x0, y0, used, limit = NEAR_TIES[start]
+        rep = iterate(p, State(x0, y0), 1000, NEAR_TOL)
+        assert (rep.iterations_used, rep.limit) == (used, limit)
+        for width in (1, NARROW_LANES + 1):
+            codes, iters, _, _ = classify_batch(p, np.full(width, x0),
+                                                np.full(width, y0), 1000, NEAR_TOL)
+            assert np.all(iters == used)
+            assert np.all(codes == int(limit))
+
+
 class TestOneClampRule:
     """Every loop clamps rounding-noise negatives to 0 and raises beyond.
 
@@ -353,8 +412,7 @@ class TestOneClampRule:
     the x-image is the given multiple of CLAMP_TOL, and the clamped image
     (0, y1) lies near the origin with a step below tol, so an orbit that
     clamps stops there after one step.  mu = 1 leaves the origin as the only
-    fixed point; mu = 0.01 adds a positive one, so the wide loop runs both
-    of its stopping paths.
+    fixed point; mu = 0.01 adds a positive one.
     """
 
     X0 = 1.1e-7
@@ -450,13 +508,7 @@ REFERENCE_CASES = ["p0", "boundary", "sampled", "ambiguous", "budget", "large_y"
 
 def _reference_lanes(case):
     """(p, starts, max_iter, tol): five starts of the case plus its fixed points."""
-    rng = make_rng(95)
-    if case == "sampled":
-        p = sample_w0_params(rng, "above")
-        xs, ys = sample_omega_points(p, rng, 5)
-        max_iter, tol = 20_000, 1e-8
-    else:
-        p, xs, ys, max_iter, tol = _lanes(case, 5, rng)
+    p, xs, ys, max_iter, tol = _lanes(case, 5, make_rng(95))
     starts = [(0.0, 0.0)] + list(zip(xs.tolist(), ys.tolist()))
     rq = regime_quantities(p)
     if rq.x_star is not None:
