@@ -29,7 +29,7 @@ import enum
 import functools
 import json
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -78,27 +78,14 @@ _FLAGS = {
     "format": {"choices": ("csv", "json")},
 }
 
+#: Least admissible value of each integer flag (max_iter may stay None).
+_AT_LEAST = {"max_iter": 1, "grid_n": 1, "samples": 0, "seed": 0, "stride": 1}
+
 #: Iteration budgets when the user does not override them: convergence on the
 #: threshold boundary is algebraic, so it gets a far larger budget and a
 #: looser tolerance.
 _INTERIOR_BUDGET = (1_000_000, 1e-8)
 _BOUNDARY_BUDGET = (10_000_000, 1e-6)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    params: Params
-    x0: float | None
-    y0: float | None
-    max_iter: int | None
-    tol: float | None
-    grid_n: int
-    n_samples: int
-    seed: int
-    stride: int
-    out: str | None
-    fmt: str
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,8 +131,11 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def parse_args(argv: list[str]) -> RunConfig:
-    """Turn argv into a validated RunConfig; UsageError on any bad input."""
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The validated flags of argv, plus ``params`` and the resolved ``format``.
+
+    Raises UsageError on any bad input.
+    """
     parser = _build_parser()
     ns = parser.parse_args(argv)
     if ns.config:
@@ -162,15 +152,15 @@ def parse_args(argv: list[str]) -> RunConfig:
         if getattr(ns, key) is None:
             raise UsageError(f"--{key} is required (flag or config file)")
     try:
-        params = validate_params(ns.alpha, ns.beta, ns.mu, ns.d0, ns.d1)
+        ns.params = validate_params(ns.alpha, ns.beta, ns.mu, ns.d0, ns.d1)
     except ParamError as e:
         raise UsageError(f"--{e.param}: {e}") from None
-    if not params.w0_regime:
-        if params.d1 != 0.0:
+    if not ns.params.w0_regime:
+        if ns.d1 != 0.0:
             raise UsageError("--d1: must be 0 (restricted regime)")
-        if params.mu > 1.0:
+        if ns.mu > 1.0:
             raise UsageError("--mu: must satisfy 0 < mu <= 1 (restricted regime)")
-        if params.d0 <= 0.0:
+        if ns.d0 <= 0.0:
             raise UsageError("--d0: must be positive (restricted regime)")
         raise UsageError("--alpha/--d0: alpha + d0 must be <= 1 (restricted regime)")
 
@@ -182,40 +172,20 @@ def parse_args(argv: list[str]) -> RunConfig:
         except DomainError as e:
             raise UsageError(f"--x0/--y0: {e}") from None
 
-    if ns.max_iter is not None and ns.max_iter < 1:
-        raise UsageError(f"--max-iter: must be >= 1, got {ns.max_iter}")
-    if ns.tol is not None and not ns.tol > 0.0:
-        raise UsageError(f"--tol: must be positive, got {ns.tol}")
-    if ns.grid_n < 1:
-        raise UsageError(f"--grid-n: must be >= 1, got {ns.grid_n}")
-    if ns.samples < 0:
-        raise UsageError(f"--samples: must be >= 0, got {ns.samples}")
-    if ns.seed < 0:
-        raise UsageError(f"--seed: must be >= 0, got {ns.seed}")
-    if ns.stride < 1:
-        raise UsageError(f"--stride: must be >= 1, got {ns.stride}")
+    if ns.tol is not None and not 0.0 < ns.tol < np.inf:  # also refuses NaN
+        raise UsageError(f"--tol: must be positive and finite, got {ns.tol}")
+    for key, least in _AT_LEAST.items():
+        value = getattr(ns, key)
+        if value is not None and value < least:
+            raise UsageError(f"--{key.replace('_', '-')}: must be >= {least}, "
+                             f"got {value}")
     _sampling.thread_count()  # every subcommand refuses a bad MOSQDYN_THREADS
 
-    fmt = ns.format
-    if fmt is None:
-        fmt = "csv" if ns.subcommand in _CSV else "json"
-    if fmt == "csv" and ns.subcommand not in _CSV:
+    if ns.format is None:
+        ns.format = "csv" if ns.subcommand in _CSV else "json"
+    if ns.format == "csv" and ns.subcommand not in _CSV:
         raise UsageError(f"--format: csv is not available for '{ns.subcommand}'")
-
-    return RunConfig(
-        subcommand=ns.subcommand,
-        params=params,
-        x0=ns.x0,
-        y0=ns.y0,
-        max_iter=ns.max_iter,
-        tol=ns.tol,
-        grid_n=ns.grid_n,
-        n_samples=ns.samples,
-        seed=ns.seed,
-        stride=ns.stride,
-        out=ns.out,
-        fmt=fmt,
-    )
+    return ns
 
 
 def _fmt(v) -> str:
@@ -225,7 +195,7 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-def _budgets(cfg: RunConfig) -> tuple[int, float]:
+def _budgets(cfg: argparse.Namespace) -> tuple[int, float]:
     base = (_BOUNDARY_BUDGET if beta_vs_threshold(cfg.params) == 0
             else _INTERIOR_BUDGET)
     return (cfg.max_iter if cfg.max_iter is not None else base[0],
@@ -255,7 +225,7 @@ def _plain(obj):
     return obj
 
 
-def _run_simulate(cfg: RunConfig):
+def _run_simulate(cfg: argparse.Namespace):
     max_iter, tol = _budgets(cfg)
     return 0, iterate(cfg.params, State(cfg.x0, cfg.y0), max_iter, tol, cfg.stride)
 
@@ -267,20 +237,20 @@ def _simulate_csv(report) -> str:
     ]) + "\n"
 
 
-def _run_equilibria(cfg: RunConfig):
+def _run_equilibria(cfg: argparse.Namespace):
     return 0, equilibrium_report(cfg.params)
 
 
-def _run_verify(cfg: RunConfig):
+def _run_verify(cfg: argparse.Namespace):
     p = cfg.params
     regions = [RegionLabel.OMEGA_ONLY]
     if regime_quantities(p).x_star is not None:
         regions += [RegionLabel.OMEGA1, RegionLabel.OMEGA2]
-    invariance = [check_invariance(p, r, cfg.n_samples, cfg.seed) for r in regions]
+    invariance = [check_invariance(p, r, cfg.samples, cfg.seed) for r in regions]
 
     lyap = None
     if beta_vs_threshold(p) >= 0:
-        lyap = monotonicity_report(p, cfg.n_samples, cfg.seed)
+        lyap = monotonicity_report(p, cfg.samples, cfg.seed)
     n_violations = (sum(len(r.violations) for r in invariance)
                     + (0 if lyap is None else lyap.total_violations))
     return (0 if n_violations == 0 else 1), {
@@ -297,15 +267,19 @@ def _run_verify(cfg: RunConfig):
     }
 
 
-def _run_cycles(cfg: RunConfig):
+def _certificate(p: Params):
+    """(no-cycle certificate, None), or (None, why it fails) for p."""
+    try:
+        return no_cycle_certificate(p), None
+    except CertificateFailure as e:
+        return None, str(e)
+
+
+def _run_cycles(cfg: argparse.Namespace):
     p = cfg.params
     tol = cfg.tol if cfg.tol is not None else RESIDUAL_TOL
-    certificate = certificate_error = None
-    if beta_vs_threshold(p) >= 0:
-        try:
-            certificate = no_cycle_certificate(p)
-        except CertificateFailure as e:
-            certificate_error = str(e)
+    certificate, certificate_error = (_certificate(p) if beta_vs_threshold(p) >= 0
+                                      else (None, None))
     searches = [
         (period, brute_force_cycle_search(p, period, cfg.grid_n, tol))
         for period in (2, 3, 4)
@@ -329,7 +303,7 @@ def _run_cycles(cfg: RunConfig):
     }
 
 
-def _run_basin(cfg: RunConfig):
+def _run_basin(cfg: argparse.Namespace):
     max_iter, tol = _budgets(cfg)
     return 0, basin_raster(cfg.params, cfg.grid_n, max_iter, tol)
 
@@ -341,7 +315,7 @@ def _basin_csv(raster) -> str:
 _REGIMES = ("below_threshold", "at_threshold", "above_threshold")
 
 
-def _run_sweep(cfg: RunConfig):
+def _run_sweep(cfg: argparse.Namespace):
     p = cfg.params
     rows = []
     for i in range(1, cfg.grid_n + 1):
@@ -349,14 +323,9 @@ def _run_sweep(cfg: RunConfig):
         q = validate_params(p.alpha, beta, p.mu, p.d0, 0.0)
         rel = beta_vs_threshold(q)
         rq = regime_quantities(q)
+        cert_ok = "na"
         if rel >= 0:
-            try:
-                no_cycle_certificate(q)
-                cert_ok = "true"
-            except CertificateFailure:
-                cert_ok = "false"
-        else:
-            cert_ok = "na"
+            cert_ok = "false" if _certificate(q)[0] is None else "true"
         rows.append({"beta": q.beta, "regime": _REGIMES[rel + 1],
                      "origin_class": classify_origin_regime(q).value,
                      "x_star": rq.x_star, "y_star": rq.y_star,
@@ -384,10 +353,10 @@ _HANDLERS = {
 _CSV = {"simulate": _simulate_csv, "basin": _basin_csv, "sweep": _sweep_csv}
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     """Run the handler, write its result as JSON or CSV, and return its status."""
     status, result = _HANDLERS[cfg.subcommand](cfg)
-    if cfg.fmt == "csv":
+    if cfg.format == "csv":
         text = _CSV[cfg.subcommand](result)
     else:
         text = json.dumps({"params": _plain(cfg.params), **_plain(result)},

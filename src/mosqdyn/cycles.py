@@ -284,13 +284,14 @@ def _newton_cycle_batch(p: Params, x0, y0, period: int, tol: float):
     """
     x, y = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
     alive = np.isfinite(x) & np.isfinite(y)
-    for _ in range(_NEWTON_MAX_ITER):
+    for it in range(_NEWTON_MAX_ITER + 1):
         px, py, (t11, t12, t21, t22) = _orbit_jacobian(p, x, y, period)
         fx, fy = px - x, py - y
         res = np.maximum(np.abs(fx), np.abs(fy))
         scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
-        active = alive & ~(res < tol * scale)
-        if not np.any(active):
+        converged = res < tol * scale
+        active = alive & ~converged
+        if it == _NEWTON_MAX_ITER or not np.any(active):
             break
         a11, a12, a21, a22 = t11 - 1.0, t12, t21, t22 - 1.0
         det = a11 * a22 - a12 * a21
@@ -310,11 +311,7 @@ def _newton_cycle_batch(p: Params, x0, y0, period: int, tol: float):
         bad = alive & (~np.isfinite(x) | ~np.isfinite(y)
                        | (1.0 + x < 1e-9) | (np.abs(x) > 1e9) | (np.abs(y) > 1e9))
         alive &= ~bad
-    px, py = _orbit(p, x, y, period)
-    res = np.maximum(np.abs(px - x), np.abs(py - y))
-    scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
-    with np.errstate(invalid="ignore"):
-        ok = alive & np.isfinite(res) & (res < tol * scale)
+    ok = alive & converged
     return x[ok], y[ok], res[ok]
 
 
@@ -360,6 +357,8 @@ def brute_force_cycle_search(p: Params, period: int, grid_n: int,
         raise ValueError(f"period must be 2, 3, or 4, got {period}")
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")
+    if not 0.0 < tol < np.inf:  # NaN, 0 or inf would vacuously answer "none"
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     b = omega_bounds(p)
     gx = np.linspace(0.0, b.x_max, grid_n)
     gy = np.linspace(0.0, b.y_max, grid_n)

@@ -98,8 +98,8 @@ class BasinRaster:
 def _stopping_rule(p: Params, tol: float, max_iter: int):
     """Validated (fixed points, near radius) of the stopping rule."""
     require_w0(p)
-    if not tol > 0.0:  # also refuses NaN
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:  # also refuses NaN
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     rq = regime_quantities(p)

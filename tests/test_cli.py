@@ -22,14 +22,14 @@ class TestParseArgs:
         assert (cfg.params.alpha, cfg.params.beta) == (0.5, 2.0)
         assert (cfg.x0, cfg.y0) == (1.0, 0.5)
         assert cfg.seed == 0 and cfg.stride == 1
-        assert cfg.fmt == "csv"
+        assert cfg.format == "csv"
 
     def test_equilibria_boundary_regime(self):
         cfg = parse_args(["equilibria", "--alpha", "0.5", "--beta", "1.28",
                           "--mu", "0.8", "--d0", "0.3"])
         assert cfg.subcommand == "equilibria"
         assert cfg.params.beta == 1.28
-        assert cfg.fmt == "json"
+        assert cfg.format == "json"
 
     def test_negative_alpha_names_the_flag(self):
         with pytest.raises(UsageError, match="--alpha"):
@@ -71,7 +71,7 @@ class TestParseArgs:
         cfg = parse_args(["verify", "--config", str(cfg_file), "--seed", "9"])
         assert cfg.params.beta == 2.0
         assert cfg.seed == 9  # flag wins
-        assert cfg.n_samples == 1234
+        assert cfg.samples == 1234
 
     def test_config_unknown_key(self, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -99,16 +99,36 @@ class TestParseArgs:
         assert (parse_args([*P0_FLAGS, "verify", *argv])
                 == parse_args(["verify", *P0_FLAGS, *argv]))
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--max-iter", "0"), ("--tol", "0"), ("--grid-n", "0"),
-        ("--samples", "-1"), ("--seed", "-1"), ("--stride", "0"),
-    ])
+    #: The whole stderr line of each refusal below, by (flag, value).
+    REFUSALS = {
+        ("--max-iter", "0"): "--max-iter: must be >= 1, got 0",
+        ("--tol", "0"): "--tol: must be positive and finite, got 0.0",
+        ("--grid-n", "0"): "--grid-n: must be >= 1, got 0",
+        ("--samples", "-1"): "--samples: must be >= 0, got -1",
+        ("--seed", "-1"): "--seed: must be >= 0, got -1",
+        ("--stride", "0"): "--stride: must be >= 1, got 0",
+        ("--tol", "nan"): "--tol: must be positive and finite, got nan",
+        ("--tol", "inf"): "--tol: must be positive and finite, got inf",
+    }
+
+    @pytest.mark.parametrize("flag,value", list(REFUSALS))
     def test_out_of_range_value_exits_two(self, capsys, flag, value):
         argv = ["simulate", *P0_FLAGS, "--x0", "1", "--y0", "0.5", flag, value]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"error: {flag}:" in captured.err
+        assert captured.err == f"mosqdyn: error: {self.REFUSALS[flag, value]}\n"
+
+    def test_readme_commands_parse(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        block = readme.read_text().split("## Command line", 1)[1]
+        block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [line.split() for line in block.splitlines()]
+        assert [c[:2] for c in commands] == [["mosqdyn", s] for s in
+                                             ("simulate", "equilibria", "verify",
+                                              "cycles", "basin", "sweep")]
+        for argv in commands:
+            assert parse_args(argv[1:]).subcommand == argv[1]
 
     @pytest.mark.parametrize("content,needle", [
         (None, "cannot read"),

@@ -326,6 +326,13 @@ class TestBruteForceSearch:
         with pytest.raises(ValueError, match="grid_n"):
             brute_force_cycle_search(P0, 2, 0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_rejects_tol_that_is_not_finite_and_positive(self, tol):
+        # NaN, 0 or -1 converge no seed, and inf converges every seed: each
+        # would answer without a genuine search
+        with pytest.raises(ValueError, match="tol"):
+            brute_force_cycle_search(P0, 2, 7, tol)
+
     def test_certificate_agrees_with_search(self):
         rng = make_rng(77)
         for _ in range(5):
@@ -613,6 +620,18 @@ class TestNewtonMatchesReference:
         for p in _NEWTON_TUPLES:
             with np.errstate(all="ignore"):
                 self._assert_same(p, *_wild_seeds(rng, 40), period, tol)
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 3])
+    def test_iteration_budget_runs_out(self, monkeypatch, max_iter):
+        # the grids converge within about 25 Jacobian evaluations, far below
+        # the real budget, so only a cut budget reaches its last pass
+        monkeypatch.setattr(cycles, "_NEWTON_MAX_ITER", max_iter)
+        for p in _NEWTON_TUPLES:
+            b = cycles.omega_bounds(p)
+            g = np.meshgrid(np.linspace(0.0, b.x_max, 7),
+                            np.linspace(0.0, b.y_max, 7))
+            for period in (2, 3, 4):
+                self._assert_same(p, g[0].ravel(), g[1].ravel(), period, 1e-10)
 
     def test_no_seed_alive(self):
         nan = np.array([float("nan"), float("inf")])

@@ -86,8 +86,10 @@ class TestIterate:
             iterate(P0, State(0.1, 0.1), 10, 1e-8, stride=0)
 
     def test_nan_tol_is_refused(self):
-        with pytest.raises(ValueError):
-            iterate(P0, State(1.0, 0.5), 50, float("nan"))
+        # inf used to stop every orbit after 0 steps
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol"):
+                iterate(P0, State(1.0, 0.5), 50, tol)
 
     def test_negative_budget_is_refused(self):
         # classify_batch used to report iters = -5 here and iterate 0
@@ -354,8 +356,9 @@ class TestClassifyBatchWidths:
             classify_batch(P0, [1.0], [0.5], 10, 0.0)
 
     def test_nan_tol_is_refused(self):
-        with pytest.raises(ValueError):
-            classify_batch(P0, [1.0], [0.5], 50, float("nan"))
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol"):
+                classify_batch(P0, [1.0], [0.5], 50, tol)
 
 
 #: tol = 0.1 * 2**-24 makes near = NEAR_FACTOR * tol exactly 2**-24.
