@@ -25,7 +25,7 @@ STREAM_MONOTONICITY = 2
 def generator(seed: int, *stream: int) -> np.random.Generator:
     """Philox generator keyed by a nonnegative seed plus stream ids."""
     if seed < 0:
-        raise UsageError(f"seed must be nonnegative, got {seed}")
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     key = np.random.SeedSequence(entropy=[int(seed), *(int(s) for s in stream)])
     return np.random.Generator(np.random.Philox(key))
 
@@ -44,20 +44,15 @@ def thread_count() -> int:
     return n
 
 
-def chunk_ranges(n: int, chunks: int) -> list[tuple[int, int]]:
-    """Split range(n) into at most ``chunks`` contiguous pieces."""
-    chunks = max(1, min(chunks, n)) if n else 1
-    bounds = np.linspace(0, n, chunks + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+def map_chunks(fn, n: int) -> list:
+    """``[fn(start, stop), ...]`` over contiguous pieces of range(n), in order.
 
-
-def map_chunks(fn, n: int):
-    """Apply ``fn(start, stop)`` over chunks of range(n), merged in order.
-
-    Workers only evaluate elementwise math on disjoint slices, so the merged
-    result is identical for any thread count.
+    range(n) is cut into at most `thread_count()` pieces, each run on its own
+    thread when there are two or more.  The caller's fn must read and write
+    only its own slice; then the list is identical for any thread count.
     """
-    ranges = chunk_ranges(n, thread_count())
+    bounds = np.linspace(0, n, max(1, min(thread_count(), n)) + 1).astype(int)
+    ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     if len(ranges) <= 1:
         return [fn(a, b) for a, b in ranges]
     with ThreadPoolExecutor(max_workers=len(ranges)) as pool:

@@ -12,8 +12,12 @@ sweep       regime table over a beta grid at fixed alpha/mu/d0; CSV
 JSON output is ``params`` followed by the subcommand's result, by one rule:
 a dataclass becomes its fields in declaration order, with a ``state`` field
 spread into its parent; an enum becomes its lowercase name, a complex number
-``{"re", "im"}``, and a tuple or array a list.  ``verify`` and ``cycles`` add
-their counts, caps and verdicts (``n_violations``, ``ok``, ...) around them.
+``{"re", "im"}``, and a tuple or array a list.  The CLI adds only what the
+reports do not hold: violation counts and the cap of 100 listed violations
+per region, the search's ``grid_n`` and ``tol``, ``brute_force_residual``
+and ``ok``.  Invariance entries restate their report's fields, because
+``n_violations`` prints between ``seed`` and ``max_excursion``; a found
+cycle lists ``states`` and ``residual``, its period being its entry's.
 
 Exit status: 0 on success, 1 when any verification report contains a
 violation (or a certificate fails, or a cycle is found), 2 on usage errors.
@@ -132,7 +136,7 @@ def _config_tokens(path: str) -> list[str]:
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """The validated flags of argv, plus ``params`` and the resolved ``format``.
+    """Validated flags of argv, plus ``params``, ``format`` and simulate's ``z0``.
 
     Raises UsageError on any bad input.
     """
@@ -168,7 +172,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         if ns.x0 is None or ns.y0 is None:
             raise UsageError("--x0/--y0: simulate needs an initial point")
         try:
-            State(ns.x0, ns.y0)
+            ns.z0 = State(ns.x0, ns.y0)
         except DomainError as e:
             raise UsageError(f"--x0/--y0: {e}") from None
 
@@ -227,7 +231,7 @@ def _plain(obj):
 
 def _run_simulate(cfg: argparse.Namespace):
     max_iter, tol = _budgets(cfg)
-    return 0, iterate(cfg.params, State(cfg.x0, cfg.y0), max_iter, tol, cfg.stride)
+    return 0, iterate(cfg.params, cfg.z0, max_iter, tol, cfg.stride)
 
 
 def _simulate_csv(report) -> str:
@@ -260,8 +264,7 @@ def _run_verify(cfg: argparse.Namespace):
              "violations": r.violations[:_MAX_JSON_VIOLATIONS]}
             for r in invariance
         ],
-        "lyapunov": None if lyap is None else
-        {"n_samples": lyap.n_samples, "seed": lyap.seed, "regions": lyap.regions},
+        "lyapunov": lyap,
         "n_violations": n_violations,
         "ok": n_violations == 0,
     }
@@ -288,10 +291,7 @@ def _run_cycles(cfg: argparse.Namespace):
     ok = certificate_error is None and not residuals
     return (0 if ok else 1), {
         "certificate": None if certificate is None else {
-            "branch": certificate.branch, "b0": certificate.b0,
-            "coefficients": certificate.coefficients,
-            "all_positive": certificate.all_positive,
-            "inequality_checks": certificate.inequality_checks,
+            **_plain(certificate),
             "brute_force_residual": min(residuals) if residuals else None},
         "certificate_error": certificate_error,
         "brute_force": [

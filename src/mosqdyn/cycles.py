@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Params, require_w0, step_w0_raw
-from .equilibria import beta_vs_threshold, jacobian_entries, regime_quantities
+from .equilibria import beta_vs_threshold, jacobian_entries
 from .errors import BranchError, CertificateFailure, RegimeError
 from .geometry import omega_bounds
 
@@ -75,10 +75,9 @@ class CycleCertificate:
     """Positivity certificate: the deflated quadratic has no positive root."""
 
     branch: CertificateBranch
+    b0: float
     coefficients: tuple[float, float, float]
     all_positive: bool
-    brute_force_residual: float | None
-    b0: float
     inequality_checks: dict[str, bool]
 
 
@@ -245,14 +244,8 @@ def no_cycle_certificate(p: Params) -> CycleCertificate:
             f"nonpositive quadratic coefficient on branch {branch.value} "
             f"for {p}: {coeffs}"
         )
-    return CycleCertificate(
-        branch=branch,
-        coefficients=coeffs,
-        all_positive=True,
-        brute_force_residual=None,
-        b0=c.b0,
-        inequality_checks=checks,
-    )
+    return CycleCertificate(branch=branch, b0=c.b0, coefficients=coeffs,
+                            all_positive=True, inequality_checks=checks)
 
 
 def _orbit(p: Params, x, y, period: int):
@@ -365,10 +358,9 @@ def brute_force_cycle_search(p: Params, period: int, grid_n: int,
     seeds_x, seeds_y = (a.ravel() for a in np.meshgrid(gx, gy))
     roots_x, roots_y, residuals = _newton_cycle_batch(p, seeds_x, seeds_y, period, tol)
 
-    rq = regime_quantities(p)
     fixed = [(0.0, 0.0)]
-    if rq.x_star is not None:
-        fixed.append((rq.x_star, rq.y_star))
+    if b.x_star is not None:
+        fixed.append((b.x_star, b.y_star))
 
     # orbit point k of root r is (xs[k, r], ys[k, r])
     xs, ys = np.empty((2, period, roots_x.size))

@@ -118,8 +118,7 @@ def jacobian(p: Params, z: State) -> tuple[float, float, float, float]:
     off-diagonal ones are strictly positive: the map is cooperative.
     """
     require_w0(p)
-    j11, j12, j21, j22 = jacobian_entries(p, z.x)
-    return (float(j11), float(j12), float(j21), float(j22))
+    return jacobian_entries(p, z.x)
 
 
 def eigenvalues_2x2(m) -> tuple[complex, complex]:
@@ -212,18 +211,14 @@ def equilibrium_report(p: Params) -> EquilibriumReport:
     """
     require_w0(p)
     rq = regime_quantities(p)
-    points = []
-    origin = State(0.0, 0.0)
-    jac = jacobian(p, origin)
-    eigs = eigenvalues_2x2(jac)
-    if _origin_on_boundary(p, rq):
-        cls = FixedPointClass.NON_HYPERBOLIC
-    else:
-        cls = _classify_eigenvalues(eigs)
-    points.append(FixedPointInfo(origin, jac, eigs, cls))
+    states = [State(0.0, 0.0)]
     if rq.x_star is not None:
-        star = State(rq.x_star, rq.y_star)
-        jac = jacobian(p, star)
+        states.append(State(rq.x_star, rq.y_star))
+    points = []
+    for i, z in enumerate(states):
+        jac = jacobian(p, z)
         eigs = eigenvalues_2x2(jac)
-        points.append(FixedPointInfo(star, jac, eigs, _classify_eigenvalues(eigs)))
+        cls = (FixedPointClass.NON_HYPERBOLIC if i == 0 and _origin_on_boundary(p, rq)
+               else _classify_eigenvalues(eigs))
+        points.append(FixedPointInfo(z, jac, eigs, cls))
     return EquilibriumReport(rq, tuple(points))

@@ -52,9 +52,9 @@ class RegionMonotonicity:
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    regions: tuple[RegionMonotonicity, ...]
     n_samples: int
     seed: int
+    regions: tuple[RegionMonotonicity, ...]
 
     @property
     def total_violations(self) -> int:
@@ -146,4 +146,4 @@ def monotonicity_report(p: Params, n_samples: int, seed: int) -> MonotonicityRep
             worst_delta=float(delta[worst_i]),
             worst_point=(float(xs[worst_i]), float(ys[worst_i])),
         ))
-    return MonotonicityReport(tuple(entries), n_samples, seed)
+    return MonotonicityReport(n_samples, seed, tuple(entries))

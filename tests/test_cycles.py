@@ -633,6 +633,17 @@ class TestNewtonMatchesReference:
             for period in (2, 3, 4):
                 self._assert_same(p, g[0].ravel(), g[1].ravel(), period, 1e-10)
 
+    @pytest.mark.parametrize("period", [2, 3, 4])
+    def test_converged_seed_dropped_as_bad_is_no_root(self, period):
+        # x* is about 5.0e9 here: the seed (x*, y*) converges on the first
+        # pass, and the pass that the seed (1, 0.5) forces then drops it by
+        # the |x| > 1e9 rule, so it must not come back as a root
+        p = validate_params(0.5, 10.0, 1e-3, 1e-6, 0.0)
+        rq = regime_quantities(p)
+        got = self._assert_same(p, np.array([rq.x_star, 1.0]),
+                                np.array([rq.y_star, 0.5]), period, 1e-10)
+        assert rq.x_star not in got[0]
+
     def test_no_seed_alive(self):
         nan = np.array([float("nan"), float("inf")])
         with np.errstate(all="ignore"):

@@ -188,3 +188,7 @@ class TestEquilibriumReport:
         p = validate_params(0.5, rq.threshold + rq.alpha_star, 0.8, 0.3, 0.0)
         rep = equilibrium_report(p)
         assert rep.fixed_points[0].classification is FixedPointClass.NON_HYPERBOLIC
+        # the boundary override is the origin's alone; x* keeps its eigenvalue type
+        star = rep.fixed_points[1]
+        assert star.classification is classify_fixed_point(p, star.state)
+        assert star.classification is FixedPointClass.ATTRACTING

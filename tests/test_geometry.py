@@ -135,6 +135,10 @@ class TestCheckInvariance:
         b = check_invariance(P0, RegionLabel.OMEGA1, 5_000, seed=9)
         assert a == b
 
+    def test_negative_seed_is_a_value_error(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            check_invariance(P0, RegionLabel.OMEGA_ONLY, 10, -1)
+
     def test_thread_count_does_not_change_results(self, monkeypatch):
         base = check_invariance(P0, RegionLabel.OMEGA2, 5_000, seed=9)
         monkeypatch.setenv("MOSQDYN_THREADS", "3")

@@ -108,6 +108,10 @@ class TestMonotonicityReport:
         assert rep.total_violations == 0
         assert all(r.n_samples == 0 for r in rep.regions)
 
+    def test_negative_seed_is_a_value_error(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            monotonicity_report(P0, 10, -1)
+
     def test_thread_count_does_not_change_results(self, monkeypatch):
         monkeypatch.setenv("MOSQDYN_THREADS", "1")
         base = monotonicity_report(P0, 5_000, seed=9)
