@@ -309,7 +309,10 @@ def _run_basin(cfg: argparse.Namespace):
 
 
 def _basin_csv(raster) -> str:
-    return "\n".join(",".join(str(int(c)) for c in row) for row in raster.codes) + "\n"
+    n, m = raster.codes.shape  # codes are the single digits 0-3
+    out = np.full((n, 2 * m), ord(","), np.uint8)
+    out[:, ::2], out[:, -1] = raster.codes + ord("0"), ord("\n")
+    return out.tobytes().decode()
 
 
 _REGIMES = ("below_threshold", "at_threshold", "above_threshold")

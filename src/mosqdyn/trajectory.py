@@ -14,6 +14,7 @@ points at once.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -323,16 +324,23 @@ def _classify_wide(p, max_iter, tol, fps, near, codes, iters, fx, fy) -> None:
     np.copyto(fy, y, where=live)
 
 
+def _basin_rows(p: Params, xs, ys, max_iter: int, tol: float, row_a: int, row_b: int):
+    """Codes of lattice rows row_a..row_b-1 (module-level, so it pickles)."""
+    gx, gy = np.meshgrid(xs, ys[row_a:row_b])
+    got, _, _, _ = classify_batch(p, gx.ravel(), gy.ravel(), max_iter, tol)
+    return got.reshape(row_b - row_a, len(xs))
+
+
 def basin_raster(p: Params, grid_n: int, max_iter: int, tol: float) -> BasinRaster:
     """Classify a grid_n x grid_n lattice of initial points over the rectangle.
 
     Row index follows y, column index follows x, both ascending from 0, so
     codes[i, j] is the limit class of the initial point (xs[j], ys[i]).
-    Rows are processed in deterministic chunks (MOSQDYN_THREADS caps the
-    fan-out; no other work reads it) and written back by index.  A chunk of
-    at most NARROW_LANES lattice points runs one scalar loop per point, which
-    holds the interpreter lock, so MOSQDYN_THREADS speeds up only wider
-    chunks.  The codes are the same bytes for every chunk width and thread count.
+    Rows are cut into deterministic pieces, at most MOSQDYN_THREADS of them
+    (no other work reads it); `map_chunks` runs each piece in its own
+    process, narrow scalar-loop pieces and wide vector-loop pieces alike, and
+    the blocks are stacked in row order.  The codes are the same bytes for
+    every piece width and worker count.
     """
     require_w0(p)
     if grid_n < 1:
@@ -340,13 +348,6 @@ def basin_raster(p: Params, grid_n: int, max_iter: int, tol: float) -> BasinRast
     b = omega_bounds(p)
     xs = np.linspace(0.0, b.x_max, grid_n)
     ys = np.linspace(0.0, b.y_max, grid_n)
-    codes = np.empty((grid_n, grid_n), dtype=np.int8)
-
-    def work(row_a: int, row_b: int):
-        gx, gy = np.meshgrid(xs, ys[row_a:row_b])
-        got, _, _, _ = classify_batch(p, gx.ravel(), gy.ravel(), max_iter, tol)
-        return row_a, got.reshape(row_b - row_a, grid_n)
-
-    for row_a, block in _sampling.map_chunks(work, grid_n):
-        codes[row_a:row_a + block.shape[0]] = block
+    work = functools.partial(_basin_rows, p, xs, ys, max_iter, tol)
+    codes = np.concatenate(_sampling.map_chunks(work, grid_n))  # rows in order
     return BasinRaster(xs=xs, ys=ys, codes=codes)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import mosqdyn
-from mosqdyn.cli import main, parse_args, run
+from mosqdyn.cli import _basin_csv, main, parse_args, run
 from mosqdyn.errors import UsageError
 from mosqdyn.geometry import RegionBounds, omega_bounds
+from mosqdyn.trajectory import BasinRaster
 
 P0_FLAGS = ["--alpha", "0.5", "--beta", "2", "--mu", "0.8", "--d0", "0.3"]
 
@@ -313,6 +314,15 @@ class TestBasin:
         assert status == 0
         assert len(payload["xs"]) == 4
         assert payload["codes"][0][0] == 0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 7), (7, 5)])
+    def test_csv_matches_the_joined_text(self, shape):
+        codes = (np.arange(shape[0] * shape[1]) % 4).astype(np.int8).reshape(shape)
+        raster = BasinRaster(xs=np.zeros(shape[1]), ys=np.zeros(shape[0]),
+                             codes=codes)
+        # reference: str() of each code, joined by commas and newlines
+        want = "\n".join(",".join(str(int(c)) for c in row) for row in codes) + "\n"
+        assert _basin_csv(raster) == want
 
 
 class TestSweep:

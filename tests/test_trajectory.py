@@ -570,10 +570,17 @@ class TestBasinRaster:
         raster = basin_raster(P_BOUNDARY, 8, 2 * 10**6, 1e-5)
         assert np.all(raster.codes == int(OmegaLimitClass.CONVERGED_TO_ORIGIN))
 
-    def test_thread_count_does_not_change_raster(self, monkeypatch):
-        base = basin_raster(P0, 12, 10**5, 1e-8)
-        monkeypatch.setenv("MOSQDYN_THREADS", "4")
-        threaded = basin_raster(P0, 12, 10**5, 1e-8)
+    # grid 12 cut for 3 or 4 workers gives pieces of at most 48 lanes (the
+    # scalar loop); grid 40 gives at least 400 lanes a piece (the wide loop);
+    # 3 workers cut the rows unevenly
+    @pytest.mark.parametrize("workers", ["2", "3", "4"])
+    @pytest.mark.parametrize("grid_n", [12, 40])
+    def test_thread_count_does_not_change_raster(self, monkeypatch, grid_n, workers):
+        monkeypatch.delenv("MOSQDYN_THREADS", raising=False)
+        base = basin_raster(P0, grid_n, 10**5, 1e-8)
+        monkeypatch.setenv("MOSQDYN_THREADS", workers)
+        threaded = basin_raster(P0, grid_n, 10**5, 1e-8)
+        assert threaded.codes.dtype == np.int8
         assert np.array_equal(base.codes, threaded.codes)
 
     def test_reads_thread_env(self, monkeypatch):
