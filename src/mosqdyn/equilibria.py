@@ -77,11 +77,12 @@ class EquilibriumReport:
 def beta_vs_threshold(p: Params) -> int:
     """-1, 0, +1 for beta below / on / above the persistence threshold.
 
-    Equality uses a relative band: exact-equality semantics do not survive
+    Equality uses the band |beta - t| <= BOUNDARY_REL_TOL*max(|beta|, |t|),
+    relative at every scale: exact-equality semantics do not survive
     floating point.
     """
     t = p.mu * (1.0 + p.d0 / p.alpha)
-    if abs(p.beta - t) <= BOUNDARY_REL_TOL * max(1.0, abs(p.beta), abs(t)):
+    if abs(p.beta - t) <= BOUNDARY_REL_TOL * max(abs(p.beta), abs(t)):
         return 0
     return 1 if p.beta > t else -1
 

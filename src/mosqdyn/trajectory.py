@@ -112,7 +112,7 @@ def _stopping_rule(p: Params, tol: float, max_iter: int):
 
 
 def _run_lane(p: Params, x: float, y: float, n: int, tol: float, fps, near,
-              stride: int):
+              stride: int, box=None):
     """At most n steps of one orbit under the stopping rule of `iterate`.
 
     Returns (limit, steps committed, x, y, trail); limit is None when all n
@@ -122,11 +122,14 @@ def _run_lane(p: Params, x: float, y: float, n: int, tol: float, fps, near,
     call; `test_trajectory.TestReferenceLaneLoop` pins it to the loop that
     calls `step_w0_raw`.  Lanes stay >= 0, so the near test of the origin
     is two comparisons, and it runs before the step-size test because a
-    lane is far from every fixed point on most steps.
+    lane is far from every fixed point on most steps.  A `_contraction_box`
+    box takes the place of the positive fixed point's near square, and a
+    lane inside it stops at once, without the step-size test.
     """
     alpha, beta, mu, d0 = p.alpha, p.beta, p.mu, p.d0
     # Without a positive fixed point its near test can never pass.
     sx, sy = fps[1][:2] if len(fps) > 1 else (math.inf, math.inf)
+    rx, ry = box or (near, near)
     trail = []
     done = 0
     while done < n:
@@ -137,14 +140,15 @@ def _run_lane(p: Params, x: float, y: float, n: int, tol: float, fps, near,
             yn = em - mu * y + y
             if xn < 0.0 or yn < 0.0:
                 xn, yn = _clamp(xn), _clamp(yn)
-            if ((x <= near and y <= near
-                 or abs(x - sx) <= near and abs(y - sy) <= near)
-                    and abs(xn - x) < tol and abs(yn - y) < tol):
-                hit = None
-                for fx, fy, cls in fps:
-                    if abs(x - fx) <= near and abs(y - fy) <= near:
-                        hit = cls if hit is None else OmegaLimitClass.UNDETERMINED
-                return hit, k, x, y, trail
+            if x <= near and y <= near or abs(x - sx) <= rx and abs(y - sy) <= ry:
+                if box and (x > near or y > near):  # in the box, off the origin's square
+                    return OmegaLimitClass.CONVERGED_TO_POSITIVE_FIXED_POINT, k, x, y, trail
+                if abs(xn - x) < tol and abs(yn - y) < tol:
+                    hit = None
+                    for fx, fy, cls in fps:
+                        if abs(x - fx) <= near and abs(y - fy) <= near:
+                            hit = cls if hit is None else OmegaLimitClass.UNDETERMINED
+                    return hit, k, x, y, trail
             x, y = xn, yn
         done += chunk
         if chunk == stride:
@@ -235,11 +239,17 @@ def classify_batch(p: Params, x0: np.ndarray, y0: np.ndarray, max_iter: int,
     float64, float64) in the input's shape.  Batches of at most NARROW_LANES
     lanes run `iterate`'s scalar loop once per lane, because per-step numpy
     dispatch would cost more than the arithmetic; wider batches run one
-    vector loop over all lanes.  Both loops test nearness to a fixed point,
-    then the step size.  Every lane gets the same bytes from either
+    vector loop over all lanes until at most NARROW_LANES of them are left,
+    and the scalar loop finishes those.  Both loops test nearness to a fixed
+    point, then the step size.  Every lane gets the same bytes from either
     loop, so the output does not depend on the batch width.  Starts must be
     finite and nonnegative, as for `State`.
     """
+    return _classify(p, x0, y0, max_iter, tol, None)
+
+
+def _classify(p: Params, x0, y0, max_iter: int, tol: float, box):
+    """`classify_batch`, with lanes inside a `_contraction_box` box stopping."""
     fps, near = _stopping_rule(p, tol, max_iter)
     x = np.array(x0, dtype=float)
     y = np.array(y0, dtype=float)
@@ -252,57 +262,70 @@ def classify_batch(p: Params, x0: np.ndarray, y0: np.ndarray, max_iter: int,
     codes = np.full(x.shape, int(OmegaLimitClass.UNDETERMINED), dtype=np.int8)
     iters = np.full(x.shape, max_iter, dtype=np.int64)
     flat = (codes.reshape(-1), iters.reshape(-1), x.reshape(-1), y.reshape(-1))
+    left, done = range(x.size), 0
     if x.size > NARROW_LANES:
-        _classify_wide(p, max_iter, tol, fps, near, *flat)
-    else:
-        lane_codes, lane_iters, lane_x, lane_y = flat
-        for i in range(x.size):
-            hit, lane_iters[i], lane_x[i], lane_y[i], _ = _run_lane(
-                p, float(lane_x[i]), float(lane_y[i]), max_iter, tol, fps, near,
-                max_iter)
-            if hit is not None:
-                lane_codes[i] = hit
+        left, done = _classify_wide(p, max_iter, tol, fps, near, box, *flat)
+    lane_codes, lane_iters, lane_x, lane_y = flat
+    rest = max_iter - done
+    for i in left:
+        hit, used, lane_x[i], lane_y[i], _ = _run_lane(
+            p, float(lane_x[i]), float(lane_y[i]), rest, tol, fps, near, rest, box)
+        lane_iters[i] = done + used
+        if hit is not None:
+            lane_codes[i] = hit
     return codes, iters, x, y
 
 
-def _classify_wide(p, max_iter, tol, fps, near, codes, iters, fx, fy) -> None:
+def _classify_wide(p, max_iter, tol, fps, near, box, codes, iters, fx, fy):
     """The stopping rule over all lanes at once, allocating nothing per step.
 
     Like `_run_lane`, each step tests nearness to every fixed point first
-    and runs the step-size test only when some lane is near one.  fx, fy
-    hold the starts on entry and the final states on return.  A lane that
-    stops is recorded, then set to NaN: NaN never moves less than tol, is
-    never near a fixed point and is skipped by `_clamp_into`, so stopped
-    lanes drop out of every per-step test without compaction.
+    and runs the step-size test only when some lane is near one; with a
+    `_contraction_box` box, a lane inside it stops at once.  fx, fy hold
+    the starts on entry.  A lane that stops is recorded, then set to NaN:
+    NaN never moves less than tol, is never near a fixed point and is
+    skipped by `_clamp_into`, so stopped lanes drop out of every per-step
+    test without compaction.  Once at most NARROW_LANES lanes are live, the
+    loop stops, writes their states to fx, fy and returns (their indices,
+    steps taken), so that the scalar loop finishes them; the few slow lanes
+    of a basin then do not drag every stopped lane through each step.  When
+    the budget runs out first, it writes the final states and returns no
+    lanes.
     """
     n = fx.size
     x, y = fx.copy(), fy.copy()
     xn, yn, em, d, e = (np.empty(n) for _ in range(5))
     small, hit = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     near_fp = [np.empty(n, dtype=bool) for _ in fps]  # fps[0] is the origin
-    positive = list(zip(fps[1:], near_fp[1:]))
+    rx, ry = box or (near, near)
     live = np.ones(n, dtype=bool)
     for it in range(max_iter):
         step_w0_into(p, x, y, xn, yn, em)
         _clamp_into(xn, yn)
         np.maximum(x, y, out=d)  # |x - 0| = x: lanes stay >= 0
         np.less_equal(d, near, out=near_fp[0])
-        for (fpx, fpy, _), mk in positive:
-            np.subtract(x, fpx, out=d)
+        if len(fps) > 1:
+            (sx, sy, _), mk = fps[1], near_fp[1]
+            np.subtract(x, sx, out=d)
             np.abs(d, out=d)
-            np.subtract(y, fpy, out=e)
+            np.subtract(y, sy, out=e)
             np.abs(e, out=e)
-            np.maximum(d, e, out=d)
-            np.less_equal(d, near, out=mk)
+            np.less_equal(d, rx, out=mk)
+            np.less_equal(e, ry, out=small)
+            np.logical_and(mk, small, out=mk)
         np.logical_or(near_fp[0], near_fp[-1], out=hit)
         if hit.any():
-            np.subtract(xn, x, out=d)
-            np.abs(d, out=d)
-            np.subtract(yn, y, out=e)
-            np.abs(e, out=e)
-            np.maximum(d, e, out=d)
-            np.less(d, tol, out=small)
-            np.logical_and(hit, small, out=hit)
+            # lanes in the box stop at once, the others when the step is small
+            if not box or near_fp[0].any():
+                np.subtract(xn, x, out=d)
+                np.abs(d, out=d)
+                np.subtract(yn, y, out=e)
+                np.abs(e, out=e)
+                np.maximum(d, e, out=d)
+                np.less(d, tol, out=small)
+                if box:
+                    np.logical_or(small, near_fp[1], out=small)
+                np.logical_and(hit, small, out=hit)
             if hit.any():
                 for (_, _, cls), mk in zip(fps, near_fp):
                     np.logical_and(mk, hit, out=mk)
@@ -314,20 +337,94 @@ def _classify_wide(p, max_iter, tol, fps, near, codes, iters, fx, fy) -> None:
                 np.copyto(fx, x, where=hit)
                 np.copyto(fy, y, where=hit)
                 np.copyto(live, False, where=hit)
-                if not live.any():
-                    return
+                if np.count_nonzero(live) <= NARROW_LANES:
+                    left = np.flatnonzero(live)
+                    fx[left], fy[left] = xn[left], yn[left]
+                    return left.tolist(), it + 1
                 np.copyto(xn, np.nan, where=hit)
                 np.copyto(yn, np.nan, where=hit)
         x, xn = xn, x
         y, yn = yn, y
     np.copyto(fx, x, where=live)
     np.copyto(fy, y, where=live)
+    return [], max_iter
 
 
-def _basin_rows(p: Params, xs, ys, max_iter: int, tol: float, row_a: int, row_b: int):
+def _contraction_box(p: Params, fps, near: float):
+    """Membership radii (rx, ry) of a certified contraction box, or None.
+
+    On the restricted regime the map W sends the quadrant Q into itself,
+    and on B ∩ Q, for a box B = c ± R, its Jacobian is bounded entrywise in
+    modulus by M = [[max|1 - d0 - alpha/(1+x)^2|, beta],
+    [alpha/(1+x_lo)^2, 1 - mu]], the max taken over the box's x range.
+    With c the float positive fixed point, M·R + |W(c) - c| < R
+    componentwise makes W map B ∩ Q into itself and contract it in the norm
+    max(|x|/Rx, |y|/Ry), so the true fixed point is the only one in B ∩ Q
+    and every orbit that enters B ∩ Q converges to it.  The check runs in
+    outward-rounded arithmetic (`_interval`).  R points along the Perron
+    vector of M, which depends on Rx alone; Rx is halved from x* until the
+    check passes, then bisected to the largest value found.
+
+    rx and ry sit one ulp below R, so a float lane that passes
+    ``abs(x - c_x) <= rx and abs(y - c_y) <= ry`` in floats lies in B:
+    rounding is monotone and fixes floats, so the computed |x - c_x| < Rx
+    only where the exact one is.  B also contains the near square of c and
+    misses the origin's, so no lane is near both.  None when there is no
+    positive fixed point (fps holds only the origin) or no box passes; the
+    function never raises.
+    """
+    if len(fps) < 2:
+        return None
+    from . import _interval as iv  # here: no other command pays for the import
+
+    cx, cy = fps[1][:2]
+    one, alpha, beta, d0 = (1.0, 1.0), (p.alpha,) * 2, (p.beta,) * 2, (p.d0,) * 2
+    m22 = iv.sub(one, (p.mu,) * 2)
+    X, Y = (cx, cx), (cy, cy)
+    em = iv.div(iv.mul(alpha, X), iv.add(one, X))
+    wx = iv.add(iv.sub(iv.sub(iv.mul(beta, Y), em), iv.mul(d0, X)), X)
+    wy = iv.add(iv.sub(em, iv.mul((p.mu,) * 2, Y)), Y)
+    dx, dy = (iv.mag(iv.sub(wx, X)),) * 2, (iv.mag(iv.sub(wy, Y)),) * 2
+
+    def radii(rx: float):
+        """(rx, ry) if the box of x half-width rx passes, else None."""
+        x1 = iv.add(one, (max(0.0, iv.down(cx - rx)), iv.up(cx + rx)))  # 1 + x on B ∩ Q
+        m21 = iv.div(alpha, iv.mul(x1, x1))
+        m11 = iv.mag(iv.sub(iv.sub(one, d0), m21))
+        h = 0.5 * (m11 - m22[1])
+        s = math.sqrt(h * h + p.beta * m21[1])  # NaN, not an error, on NaN
+        v1, v2 = (s + h, m21[1]) if h >= 0.0 else (p.beta, s - h)  # Perron vector
+        if not v1 > 0.0:
+            return None
+        ry = rx * (v2 / v1)
+        if not (iv.down(rx) >= near and iv.down(ry) >= near
+                and (iv.down(cx - rx) > near or iv.down(cy - ry) > near)):
+            return None
+        R = (rx, rx), (ry, ry)
+        ux = iv.add(iv.add(iv.mul((m11, m11), R[0]), iv.mul(beta, R[1])), dx)
+        uy = iv.add(iv.add(iv.mul(m21, R[0]), iv.mul(m22, R[1])), dy)
+        return (rx, ry) if ux[1] < rx and uy[1] < ry else None
+
+    rx = cx
+    for _ in range(64):
+        if radii(rx):
+            break
+        rx *= 0.5
+    else:
+        return None
+    lo, hi = rx, 2.0 * rx
+    for _ in range(24):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if radii(mid) else (lo, mid)
+    rx, ry = radii(lo)
+    return iv.down(rx), iv.down(ry)
+
+
+def _basin_rows(p: Params, xs, ys, max_iter: int, tol: float, box, row_a: int,
+                row_b: int):
     """Codes of lattice rows row_a..row_b-1 (module-level, so it pickles)."""
     gx, gy = np.meshgrid(xs, ys[row_a:row_b])
-    got, _, _, _ = classify_batch(p, gx.ravel(), gy.ravel(), max_iter, tol)
+    got, _, _, _ = _classify(p, gx.ravel(), gy.ravel(), max_iter, tol, box)
     return got.reshape(row_b - row_a, len(xs))
 
 
@@ -336,18 +433,25 @@ def basin_raster(p: Params, grid_n: int, max_iter: int, tol: float) -> BasinRast
 
     Row index follows y, column index follows x, both ascending from 0, so
     codes[i, j] is the limit class of the initial point (xs[j], ys[i]).
-    Rows are cut into deterministic pieces, at most MOSQDYN_THREADS of them
-    (no other work reads it); `map_chunks` runs each piece in its own
-    process, narrow scalar-loop pieces and wide vector-loop pieces alike, and
-    the blocks are stacked in row order.  The codes are the same bytes for
-    every piece width and worker count.
+    Above the threshold, a lane that enters the `_contraction_box` built
+    once per call stops there with code 1, which every orbit inside the box
+    earns; elsewhere, and where no box is certified, `classify_batch`'s rule
+    decides.  So the codes equal that rule's wherever it decides a lane
+    within max_iter, and a lane whose budget runs out inside the box gets 1,
+    not 3.  Rows are cut into deterministic pieces, at most MOSQDYN_THREADS
+    of them (no other work reads it); `map_chunks` runs each piece in its
+    own process, narrow scalar-loop pieces and wide vector-loop pieces
+    alike, and the blocks are stacked in row order.  The codes are the same
+    bytes for every piece width and worker count.
     """
     require_w0(p)
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")
+    fps, near = _stopping_rule(p, tol, max_iter)
     b = omega_bounds(p)
     xs = np.linspace(0.0, b.x_max, grid_n)
     ys = np.linspace(0.0, b.y_max, grid_n)
-    work = functools.partial(_basin_rows, p, xs, ys, max_iter, tol)
+    box = _contraction_box(p, fps, near)
+    work = functools.partial(_basin_rows, p, xs, ys, max_iter, tol, box)
     codes = np.concatenate(_sampling.map_chunks(work, grid_n))  # rows in order
     return BasinRaster(xs=xs, ys=ys, codes=codes)

@@ -15,6 +15,7 @@ from mosqdyn import (
     validate_params,
 )
 from mosqdyn.core import step_w0_raw
+from mosqdyn.equilibria import beta_vs_threshold
 from mosqdyn.errors import NotAFixedPointError, RegimeError
 
 
@@ -34,6 +35,17 @@ class TestRegimeQuantities:
     def test_below_threshold_has_no_positive_fixed_point(self):
         rq = regime_quantities(validate_params(0.5, 1.0, 0.8, 0.3, 0.0))
         assert rq.x_star is None and rq.y_star is None
+
+    def test_threshold_band_is_relative_below_one(self):
+        # beta 4e-10 above a threshold of 1.45e-3 in relative terms, but only
+        # 5.8e-13 in absolute terms, which an absolute 1e-12 band swallowed
+        alpha, mu, d0 = 0.5, 1e-3, 0.225
+        t = mu * (1.0 + d0 / alpha)
+        p = validate_params(alpha, t * (1.0 + 4e-10), mu, d0)
+        assert beta_vs_threshold(p) == 1
+        star = equilibrium_report(p).fixed_points[1].state
+        assert star.x > 0.0 and star.y > 0.0
+        assert beta_vs_threshold(validate_params(alpha, t, mu, d0)) == 0
 
     def test_requires_restricted_regime(self):
         with pytest.raises(RegimeError):

@@ -4,7 +4,8 @@ tests/golden/<subcommand>_<tuple>.<ext> holds the stdout of one call at a
 small size.  After an intended output change, regenerate a file with
 ``python -m mosqdyn <argv> > tests/golden/<file>``, using the argv below.
 The SUBSTITUTED files pin failing reports: they hold the stdout of the same
-call made in-process with the listed substitution applied.
+call made in-process with the listed substitution applied.  WIDE_BASIN pins
+a raster wide enough for the vector orbit loop.
 """
 
 from pathlib import Path
@@ -56,6 +57,22 @@ def test_stdout_matches_golden_bytes(filename, argv, capsys):
     out = capsys.readouterr().out.encode("utf-8")
     assert status == 0
     assert out == (GOLDEN / filename).read_bytes()
+
+
+#: The only golden raster wide enough (72 x 72 = 5,184 lanes) for the vector
+#: loop; the grid-6 rasters run the scalar loop alone.
+WIDE_BASIN = ("basin_p0_wide.csv",
+              ["basin", *TUPLES["p0"], "--grid-n", "72", "--max-iter", "300"])
+
+
+@pytest.mark.parametrize("workers", [None, "2"], ids=["threads_unset", "threads_2"])
+def test_wide_basin_matches_golden_bytes(workers, monkeypatch, capsys):
+    monkeypatch.delenv("MOSQDYN_THREADS", raising=False)
+    if workers is not None:
+        monkeypatch.setenv("MOSQDYN_THREADS", workers)
+    filename, argv = WIDE_BASIN
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / filename).read_bytes()
 
 
 def corrupt_omega_bounds(monkeypatch):

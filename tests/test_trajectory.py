@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mosqdyn import (
     validate_params,
 )
 from mosqdyn import trajectory
+from mosqdyn.cli import main
 from mosqdyn.core import CLAMP_TOL, _clamp, step_w0_raw
 from mosqdyn.equilibria import beta_vs_threshold
 from mosqdyn.errors import DomainError, UsageError
@@ -595,3 +597,164 @@ class TestBasinRaster:
         )
         assert int(codes[0]) == int(OmegaLimitClass.CONVERGED_TO_POSITIVE_FIXED_POINT)
         assert int(iters[0]) == 0
+
+
+def _box(p, tol=1e-8):
+    """`_contraction_box` of p at the near radius of tol."""
+    return trajectory._contraction_box(p, *trajectory._stopping_rule(p, tol, 1))
+
+
+def _exact_box_check(p, box, tol=1e-8):
+    """The box's certificate, redone in exact rational arithmetic."""
+    rq = regime_quantities(p)
+    cx, cy = Fraction(rq.x_star), Fraction(rq.y_star)
+    rx, ry = (Fraction(math.nextafter(r, math.inf)) for r in box)  # half-widths of B
+    alpha, beta, mu, d0 = map(Fraction, (p.alpha, p.beta, p.mu, p.d0))
+    x_lo, x_hi = max(Fraction(0), cx - rx), cx + rx
+    # on B and the quadrant, J11 rises with x and J21 falls
+    m11 = max(abs(1 - d0 - alpha / (1 + x) ** 2) for x in (x_lo, x_hi))
+    m21 = alpha / (1 + x_lo) ** 2
+    em = alpha * cx / (1 + cx)
+    dx, dy = abs(beta * cy - em - d0 * cx), abs(em - mu * cy)  # |W(c) - c|
+    assert m11 * rx + beta * ry + dx < rx
+    assert m21 * rx + (1 - mu) * ry + dy < ry
+    near = Fraction(trajectory.NEAR_FACTOR * tol)
+    assert cx - rx > near or cy - ry > near  # misses the origin's near square
+    assert min(box) >= near  # holds the near square of (x*, y*)
+
+
+def _edge_floats(c, r):
+    """Floats from two ulps inside to two ulps outside each computed edge c +- r."""
+    out = []
+    for edge, inward in ((c + r, -math.inf), (c - r, math.inf)):
+        v = math.nextafter(math.nextafter(edge, inward), inward)
+        for _ in range(5):
+            out.append(v)
+            v = math.nextafter(v, -inward)
+    return [v for v in out if v >= 0.0]  # lanes stay in the quadrant
+
+
+def _log_domain_params(rng):
+    """alpha, d0/(1 - alpha), mu and beta/threshold - 1 log-uniform over
+    [1e-4, 0.999], [1e-8, 1], [1e-4, 1] and [1e-10, 1e3]."""
+    while True:
+        alpha = 10.0 ** rng.uniform(-4.0, math.log10(0.999))
+        d0 = (1.0 - alpha) * 10.0 ** rng.uniform(-8.0, 0.0)
+        mu = 10.0 ** rng.uniform(-4.0, 0.0)
+        t = mu * (1.0 + d0 / alpha)
+        p = validate_params(alpha, t * (1.0 + 10.0 ** rng.uniform(-10.0, 3.0)), mu, d0)
+        if p.w0_regime:
+            return p
+
+
+#: beta 4e-10 above a threshold of 1.45e-3 in relative terms.
+P_NEAR_THRESHOLD = validate_params(0.5, 1.45e-3 * (1.0 + 4e-10), 1e-3, 0.225)
+#: x* about 1.3e8: J21 at x* underflows the y half-width of any box.
+P_HUGE_STAR = validate_params(0.006741288187734768, 273.53443603038295,
+                              0.8299343699704457, 1.6970538949649012e-08)
+
+
+class TestContractionBox:
+    """The certified box of `basin_raster`, checked with `Fraction`s."""
+
+    def test_reference_box(self):
+        box = _box(P0)
+        _exact_box_check(P0, box)
+        assert box[0] > 0.5 and box[1] > 0.1  # x in [0.89, 2.11] at P0
+
+    def test_sampled_boxes_hold_exactly(self):
+        rng = make_rng(96)
+        for _ in range(40):
+            p = sample_w0_params(rng, "above")
+            _exact_box_check(p, _box(p))
+
+    def test_log_domain_gives_a_box_or_none_and_never_raises(self):
+        rng = make_rng(98)
+        found = 0
+        for p in [P_NEAR_THRESHOLD, P_HUGE_STAR] + [_log_domain_params(rng)
+                                                    for _ in range(400)]:
+            box = _box(p)
+            if box is not None:
+                assert type(box) is tuple and len(box) == 2
+                assert all(type(r) is float for r in box)
+                _exact_box_check(p, box)
+                found += 1
+        assert found > 100
+
+    @pytest.mark.parametrize("p", [P_BOUNDARY, P_SLOW_BELOW], ids=["at", "below"])
+    def test_no_box_without_a_positive_fixed_point(self, p):
+        assert _box(p) is None
+
+    def test_no_box_smaller_than_the_near_square(self):
+        assert _box(P_HUGE_STAR) is None
+        assert _box(P0, tol=1.0) is None  # near = 10 exceeds any box at P0
+
+    @pytest.mark.parametrize("case", ["p0", "sampled", "slow"])
+    def test_float_membership_implies_exact_membership(self, case):
+        p = _lanes(case, 1, make_rng(99))[0]
+        box = _box(p)
+        rq = regime_quantities(p)
+        for c, r in ((rq.x_star, box[0]), (rq.y_star, box[1])):
+            edge = _edge_floats(c, r)
+            passing = [v for v in edge if abs(v - c) <= r]
+            assert passing and len(passing) < len(edge)  # both sides of the edge
+            bound = Fraction(math.nextafter(r, math.inf))
+            for v in passing:
+                assert abs(Fraction(v) - Fraction(c)) < bound
+
+
+class TestBoxRaster:
+    """`basin_raster` stops lanes in the box; `classify_batch` keeps the rule."""
+
+    # grid 6 runs the scalar loop alone, also in two pieces; grid 20 runs
+    # the vector loop, also in two pieces of 200 lanes
+    @pytest.mark.parametrize("workers", [None, "2"], ids=["threads_unset", "threads_2"])
+    @pytest.mark.parametrize("grid_n", [6, 20])
+    def test_codes_equal_the_rule_wherever_it_decides(self, monkeypatch, grid_n,
+                                                      workers):
+        monkeypatch.delenv("MOSQDYN_THREADS", raising=False)
+        if workers is not None:
+            monkeypatch.setenv("MOSQDYN_THREADS", workers)
+        rng = make_rng(97)
+        for p in [P0, P_SLOW] + [sample_w0_params(rng, "above") for _ in range(4)]:
+            assert _box(p) is not None
+            raster = basin_raster(p, grid_n, 2000, 1e-8)
+            gx, gy = np.meshgrid(raster.xs, raster.ys)
+            want, _, _, _ = classify_batch(p, gx, gy, 2000, 1e-8)
+            decided = want != int(OmegaLimitClass.UNDETERMINED)
+            assert np.array_equal(raster.codes[decided], want[decided])
+
+    def test_budget_exhausted_lanes_in_the_box_get_code_1(self, capsys):
+        # at P0 every lane but the origin needs more than 50 steps to meet
+        # the stopping rule, and reaches the box well within them
+        argv = ["basin", "--alpha", "0.5", "--beta", "2.0", "--mu", "0.8",
+                "--d0", "0.3", "--grid-n", "6", "--max-iter", "50"]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "0,1,1,1,1,1" and all(r == "1,1,1,1,1,1" for r in rows[1:])
+        raster = basin_raster(P0, 6, 50, 1e-8)
+        gx, gy = np.meshgrid(raster.xs, raster.ys)
+        want, _, _, _ = classify_batch(P0, gx, gy, 50, 1e-8)
+        assert np.count_nonzero(want == int(OmegaLimitClass.UNDETERMINED)) == 35
+
+    def test_wide_batch_hands_its_last_lanes_to_the_lane_loop(self, monkeypatch):
+        calls = []
+        real = trajectory._run_lane
+
+        def spy(p, x, y, n, *rest):
+            calls.append(n)
+            return real(p, x, y, n, *rest)
+
+        monkeypatch.setattr(trajectory, "_run_lane", spy)
+        p, xs, ys, max_iter, tol = _lanes("slow", 260, make_rng(91))
+        codes, iters, fx, fy = classify_batch(p, xs, ys, max_iter, tol)
+        handed = list(calls)
+        assert 0 < len(handed) <= NARROW_LANES
+        assert all(n < max_iter for n in handed)  # after some vector-loop steps
+        monkeypatch.undo()
+        for i in range(xs.size):
+            rep = iterate(p, State(float(xs[i]), float(ys[i])), max_iter, tol,
+                          stride=max_iter)
+            assert OmegaLimitClass(int(codes[i])) is rep.limit
+            assert int(iters[i]) == rep.iterations_used
+            assert (float(fx[i]), float(fy[i])) == (rep.final.x, rep.final.y)
