@@ -53,7 +53,7 @@ from .equilibria import (
 from .errors import CertificateFailure, DomainError, ParamError, UsageError
 from .geometry import RegionLabel, check_invariance
 from .lyapunov import monotonicity_report
-from .trajectory import basin_raster, iterate
+from .trajectory import _orbit_columns, basin_raster, iterate
 
 _SUBCOMMANDS = ("simulate", "equilibria", "verify", "cycles", "basin", "sweep")
 
@@ -167,6 +167,10 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         if ns.d0 <= 0.0:
             raise UsageError("--d0: must be positive (restricted regime)")
         raise UsageError("--alpha/--d0: alpha + d0 must be <= 1 (restricted regime)")
+    try:
+        regime_quantities(ns.params)
+    except DomainError as e:
+        raise UsageError(f"--beta/--mu/--d0: {e}") from None
 
     if ns.subcommand == "simulate":
         if ns.x0 is None or ns.y0 is None:
@@ -230,15 +234,23 @@ def _plain(obj):
 
 
 def _run_simulate(cfg: argparse.Namespace):
+    """The orbit's columns for CSV, its `iterate` report for JSON."""
     max_iter, tol = _budgets(cfg)
-    return 0, iterate(cfg.params, cfg.z0, max_iter, tol, cfg.stride)
+    orbit = _orbit_columns if cfg.format == "csv" else iterate
+    return 0, orbit(cfg.params, cfg.z0, max_iter, tol, cfg.stride)
 
 
-def _simulate_csv(report) -> str:
-    return "\n".join(["n,x,y,phi,region"] + [
-        f"{s.n},{_fmt(s.state.x)},{_fmt(s.state.y)},{_fmt(s.phi)},{s.region.value}"
-        for s in report.samples
-    ]) + "\n"
+#: Region names by the codes of `trajectory._orbit_columns`.
+_REGION_VALUES = np.array([r.value for r in RegionLabel])
+
+
+def _simulate_csv(orbit) -> str:
+    """All rows in one %-format of the interleaved columns (%.17g is `_fmt`)."""
+    *_, n, x, y, phi, codes = orbit
+    cells = [None] * (5 * len(n))
+    for k, column in enumerate((n, x, y, phi, _REGION_VALUES[codes])):
+        cells[k::5] = column.tolist()
+    return "n,x,y,phi,region\n" + "%d,%.17g,%.17g,%.17g,%s\n" * len(n) % tuple(cells)
 
 
 def _run_equilibria(cfg: argparse.Namespace):
@@ -325,7 +337,10 @@ def _run_sweep(cfg: argparse.Namespace):
         beta = p.beta * i / cfg.grid_n
         q = validate_params(p.alpha, beta, p.mu, p.d0, 0.0)
         rel = beta_vs_threshold(q)
-        rq = regime_quantities(q)
+        try:
+            rq = regime_quantities(q)
+        except DomainError as e:
+            raise UsageError(f"--beta: sweep row beta = {beta!r}: {e}") from None
         cert_ok = "na"
         if rel >= 0:
             cert_ok = "false" if _certificate(q)[0] is None else "true"

@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass
 
 from .core import Params, State, require_w0, step_w0
-from .errors import NotAFixedPointError
+from .errors import DomainError, NotAFixedPointError
 
 #: Eigenvalue-modulus band around 1 inside which a fixed point is declared
 #: non-hyperbolic; also used as the closed-form equality band on beta.
@@ -92,7 +92,8 @@ def regime_quantities(p: Params) -> RegimeQuantities:
 
     x*/y* are filled only when beta lies strictly above the threshold; they
     then satisfy step_w0(p, (x*, y*)) = (x*, y*) to within 1e-12 per
-    coordinate.
+    coordinate.  Raises DomainError when mu*d0 or mu*(beta - mu), their
+    denominators, underflows to 0 (tiny admissible rates).
     """
     require_w0(p)
     threshold = p.mu * (1.0 + p.d0 / p.alpha)
@@ -101,8 +102,12 @@ def regime_quantities(p: Params) -> RegimeQuantities:
     if beta_vs_threshold(p) > 0:
         # threshold > mu because d0 > 0, so the y* denominator cannot vanish
         assert p.beta > p.mu
-        x_star = p.alpha * (p.beta - p.mu) / (p.mu * p.d0) - 1.0
-        y_star = (p.alpha * (p.beta - p.mu) - p.mu * p.d0) / (p.mu * (p.beta - p.mu))
+        den_x, den_y = p.mu * p.d0, p.mu * (p.beta - p.mu)
+        if den_x == 0.0 or den_y == 0.0:
+            raise DomainError(f"x*, y* are not representable: mu*d0 = {den_x} and "
+                              f"mu*(beta - mu) = {den_y} must not underflow to 0")
+        x_star = p.alpha * (p.beta - p.mu) / den_x - 1.0
+        y_star = (p.alpha * (p.beta - p.mu) - den_x) / den_y
     return RegimeQuantities(threshold, alpha_star, x_star, y_star)
 
 

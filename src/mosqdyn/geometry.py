@@ -108,6 +108,19 @@ def _region_in(b: RegionBounds, z: State) -> RegionLabel:
     return RegionLabel.OMEGA4
 
 
+def _region_codes(b: RegionBounds, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`_region_in` over coordinate arrays, as indices into tuple(RegionLabel).
+
+    The same comparisons in the same order, the first match winning.
+    """
+    outside = (x > b.x_max) | (y > b.y_max)
+    if b.x_star is None:
+        return np.where(outside, 5, 4)
+    return np.select([outside, (x <= b.x_star) & (y <= b.y_star),
+                      (x >= b.x_star) & (y >= b.y_star), x > b.x_star],
+                     [5, 0, 1, 2], 3)
+
+
 def region_box(p: Params, region: RegionLabel) -> tuple[float, float, float, float]:
     """Closed bounding box (x_lo, x_hi, y_lo, y_hi) of a region.
 

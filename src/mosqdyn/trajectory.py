@@ -32,7 +32,7 @@ from .core import (
 )
 from .equilibria import beta_vs_threshold, regime_quantities
 from .errors import DomainError
-from .geometry import RegionLabel, _region_in, omega_bounds
+from .geometry import RegionLabel, _region_codes, omega_bounds
 
 #: "Near a fixed point" means within this multiple of tol, max norm.
 NEAR_FACTOR = 10.0
@@ -157,6 +157,35 @@ def _run_lane(p: Params, x: float, y: float, n: int, tol: float, fps, near,
     return None, n, x, y, trail
 
 
+def _orbit_columns(p: Params, z0: State, max_iter: int, tol: float, stride: int):
+    """`iterate`'s run as (limit, steps used, n, x, y, phi, region codes).
+
+    The last five are arrays with one entry per sample; the codes index
+    tuple(RegionLabel).  One call of the scalar lane loop records the raw
+    sampled points, and phi and the regions are computed once over them.
+    Lane states are clamped to >= 0 or NaN, so a finite check of the columns
+    does all of `State`'s validation: the first sample that fails it raises
+    `State`'s own DomainError.
+    """
+    fps, near = _stopping_rule(p, tol, max_iter)
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    hit, used, x, y, trail = _run_lane(p, z0.x, z0.y, max_iter, tol, fps, near,
+                                       stride)
+    flat = [z0.x, z0.y, *trail]
+    if stride * (len(trail) // 2) != used:  # the final state was not sampled
+        flat += [x, y]
+    xy = np.array(flat).reshape(-1, 2)
+    finite = np.isfinite(xy).all(axis=1)
+    if not finite.all():
+        State(*xy[finite.argmin()].tolist())  # raises
+    n = np.arange(len(xy)) * stride
+    n[-1] = used
+    xs, ys = xy[:, 0], xy[:, 1]
+    return (OmegaLimitClass.UNDETERMINED if hit is None else hit, used, n, xs, ys,
+            p.mu * xs + p.beta * ys, _region_codes(omega_bounds(p), xs, ys))
+
+
 def iterate(p: Params, z0: State, max_iter: int, tol: float,
             stride: int = 1) -> TrajectoryReport:
     """Iterate from z0 until convergence or budget exhaustion.
@@ -168,30 +197,18 @@ def iterate(p: Params, z0: State, max_iter: int, tol: float,
     classification follows that fixed point (UNDETERMINED when it is near
     both) and the probed step is not committed, so a start exactly on a
     fixed point reports 0 iterations.  All steps run in one call of the
-    scalar lane loop that narrow `classify_batch` calls use, which records
-    the raw sampled points; the samples are built from them afterwards.
+    scalar lane loop that narrow `classify_batch` calls use; the samples
+    are built from `_orbit_columns`.
     """
-    fps, near = _stopping_rule(p, tol, max_iter)
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    bounds = omega_bounds(p)
-
-    def make_sample(n: int, x: float, y: float) -> TrajectorySample:
-        st = State(x, y)
-        return TrajectorySample(n, st, p.mu * x + p.beta * y, _region_in(bounds, st))
-
-    hit, used, x, y, trail = _run_lane(p, z0.x, z0.y, max_iter, tol, fps, near,
-                                       stride)
-    samples = [make_sample(0, z0.x, z0.y)]
-    ns = range(stride, stride * len(trail) // 2 + 1, stride)
-    samples += map(make_sample, ns, trail[0::2], trail[1::2])
-    if samples[-1].n != used:
-        samples.append(make_sample(used, x, y))
+    limit, used, *columns = _orbit_columns(p, z0, max_iter, tol, stride)
+    labels = tuple(RegionLabel)
+    samples = tuple(TrajectorySample(n, State(x, y), phi, labels[c])
+                    for n, x, y, phi, c in zip(*(a.tolist() for a in columns)))
     return TrajectoryReport(
-        samples=tuple(samples),
+        samples=samples,
         iterations_used=used,
         final=samples[-1].state,
-        limit=OmegaLimitClass.UNDETERMINED if hit is None else hit,
+        limit=limit,
         boundary_regime=beta_vs_threshold(p) == 0,
     )
 

@@ -386,6 +386,23 @@ class TestDeterminismAndExitCodes:
         assert main([]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["equilibria", "--alpha", "0.5", "--beta", "2e-200", "--mu", "1e-200",
+         "--d0", "0.3"],
+        ["basin", "--alpha", "0.5", "--beta", "2e-200", "--mu", "1e-200",
+         "--d0", "0.3", "--grid-n", "2"],
+        # only a lower row of the sweep underflows
+        ["sweep", "--alpha", "0.5", "--beta", "1e-153", "--mu", "1e-170",
+         "--d0", "0.3", "--grid-n", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_underflowing_fixed_point_exits_two(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("mosqdyn: error: --beta")
+        assert "underflow" in lines[0]
+
     def test_invalid_thread_env_exits_two(self, monkeypatch, capsys):
         monkeypatch.setenv("MOSQDYN_THREADS", "zero")
         assert main(["verify", *P0_FLAGS, "--samples", "100"]) == 2

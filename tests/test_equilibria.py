@@ -16,7 +16,7 @@ from mosqdyn import (
 )
 from mosqdyn.core import step_w0_raw
 from mosqdyn.equilibria import beta_vs_threshold
-from mosqdyn.errors import NotAFixedPointError, RegimeError
+from mosqdyn.errors import DomainError, NotAFixedPointError, RegimeError
 
 
 class TestRegimeQuantities:
@@ -50,6 +50,16 @@ class TestRegimeQuantities:
     def test_requires_restricted_regime(self):
         with pytest.raises(RegimeError):
             regime_quantities(validate_params(0.5, 2.0, 0.8, 0.3, 0.1))
+
+    @pytest.mark.parametrize("beta,mu,d0", [
+        (2e-200, 1e-200, 0.3),  # mu*(beta - mu) underflows
+        (1.0, 1e-300, 1e-30),   # mu*d0 underflows
+    ], ids=["beta_minus_mu", "d0"])
+    def test_underflowing_denominator_raises_domain_error(self, beta, mu, d0):
+        p = validate_params(0.5, beta, mu, d0)
+        assert beta_vs_threshold(p) == 1
+        with pytest.raises(DomainError, match="underflow"):
+            regime_quantities(p)
 
     def test_fixed_point_residual_small_everywhere(self):
         rng = make_rng(23)

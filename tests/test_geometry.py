@@ -4,13 +4,22 @@ import numpy as np
 import pytest
 
 from conftest import P0, P_BOUNDARY, make_rng, sample_w0_params
-from mosqdyn import RegionLabel, State, check_invariance, omega_bounds, region_of
+from mosqdyn import (
+    RegionLabel,
+    State,
+    check_invariance,
+    omega_bounds,
+    region_of,
+    validate_params,
+)
 from mosqdyn.core import step_w0_batch
 from mosqdyn.errors import NotClaimedInvariantError, RegimeError
 from mosqdyn import geometry
 from mosqdyn.geometry import (
     CONTAINMENT_TOL,
     RegionViolation,
+    _region_codes,
+    _region_in,
     region_box,
     sample_region,
 )
@@ -88,6 +97,44 @@ class TestRegionOf:
                 label = region_of(p, State(float(x), float(y)))
                 inside = x <= b.x_max and y <= b.y_max
                 assert inside == (label is not RegionLabel.OUTSIDE_OMEGA)
+
+
+def _edge_values(star, top):
+    """Signed zeros, the subdivision point and the top edge, each with its
+    float neighbours, and a value far outside."""
+    values = [-0.0, 0.0, math.nextafter(top, 0.0), top, math.nextafter(top, math.inf),
+              2.0 * top]
+    if star is not None:
+        values += [math.nextafter(star, 0.0), star, math.nextafter(star, math.inf)]
+    return values
+
+
+class TestRegionCodes:
+    """The vector labeller against `_region_in`, element by element."""
+
+    @pytest.mark.parametrize("p", [
+        P0, P_BOUNDARY, validate_params(0.5, 1.0, 0.8, 0.3),
+        sample_w0_params(make_rng(38), "above"),
+    ], ids=["p0", "at_threshold", "below_threshold", "sampled"])
+    def test_matches_scalar_labeller(self, p):
+        b = omega_bounds(p)
+        edges = [(x, y) for x in _edge_values(b.x_star, b.x_max)
+                 for y in _edge_values(b.y_star, b.y_max)]
+        rng = make_rng(39)
+        sampled = zip(rng.uniform(0.0, 1.5 * b.x_max, 500).tolist(),
+                      rng.uniform(0.0, 1.5 * b.y_max, 500).tolist())
+        points = edges + list(sampled)
+        xs, ys = (np.array(c) for c in zip(*points))
+        codes = _region_codes(b, xs, ys)
+        got = [tuple(RegionLabel)[c] for c in codes.tolist()]
+        want = [_region_in(b, State(x, y)) for x, y in points]
+        assert got == want
+        labels = set(want)
+        assert RegionLabel.OUTSIDE_OMEGA in labels
+        if b.x_star is None:
+            assert labels == {RegionLabel.OMEGA_ONLY, RegionLabel.OUTSIDE_OMEGA}
+        else:
+            assert len(labels) == 5  # all four subregions
 
 
 class TestCheckInvariance:

@@ -5,7 +5,8 @@ small size.  After an intended output change, regenerate a file with
 ``python -m mosqdyn <argv> > tests/golden/<file>``, using the argv below.
 The SUBSTITUTED files pin failing reports: they hold the stdout of the same
 call made in-process with the listed substitution applied.  WIDE_BASIN pins
-a raster wide enough for the vector orbit loop.
+a raster wide enough for the vector orbit loop, and ORBITS pins whole
+stride-1 orbits in both formats (tests/golden/simulate_orbit_<name>.<ext>).
 """
 
 from pathlib import Path
@@ -40,6 +41,18 @@ COMMANDS = {
 #: Subcommands whose default CSV also has a ``--format json`` mirror.
 JSON_MIRRORS = ("simulate", "basin", "sweep")
 
+#: Whole orbits at the default stride 1.  The first two visit outside_omega
+#: and three of omega1-omega4; the third sits on the threshold (omega_only)
+#: and runs out of budget.
+ORBITS = {
+    "omega134": ["--alpha", "0.7", "--beta", "1.43", "--mu", "0.92", "--d0", "0.18",
+                 "--x0", "0", "--y0", "1"],
+    "omega234": ["--alpha", "0.58", "--beta", "2.4", "--mu", "0.9", "--d0", "0.41",
+                 "--x0", "0", "--y0", "1"],
+    "at_threshold": [*TUPLES["boundary"], "--x0", "1", "--y0", "0.5",
+                     "--max-iter", "400"],
+}
+
 CASES = [
     (f"{cmd}_{name}.{ext}", [cmd, *flags, *extra])
     for name, flags in TUPLES.items()
@@ -48,6 +61,10 @@ CASES = [
     (f"{cmd}_{name}.json", [cmd, *flags, *COMMANDS[cmd][0], "--format", "json"])
     for name, flags in TUPLES.items()
     for cmd in JSON_MIRRORS
+] + [
+    (f"simulate_orbit_{name}.{ext}", ["simulate", *flags, "--format", ext])
+    for name, flags in ORBITS.items()
+    for ext in ("csv", "json")
 ]
 
 

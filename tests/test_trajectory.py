@@ -67,6 +67,27 @@ class TestIterate:
         interior = ns[1:-1] if rep.iterations_used % 7 else ns[1:]
         assert all(n % 7 == 0 for n in interior)
 
+    #: The message `State` gave for the first sample that is not finite.
+    NOT_FINITE = {1: "state must be finite, got (inf, 1.9999999999999992e+307)",
+                  2: "state must be finite, got (nan, nan)",
+                  5: "state must be finite, got (nan, nan)"}
+
+    @pytest.mark.parametrize("stride", NOT_FINITE)
+    def test_orbit_that_is_not_finite_raises_states_message(self, stride):
+        with pytest.raises(DomainError) as err:
+            iterate(P0, State(1.0, 1e308), 5, 1e-8, stride)
+        assert str(err.value) == self.NOT_FINITE[stride]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cli_orbit_that_is_not_finite_raises_states_message(self, fmt, capsys):
+        argv = ["simulate", "--alpha", "0.5", "--beta", "2.0", "--mu", "0.8",
+                "--d0", "0.3", "--x0", "1", "--y0", "1e308", "--max-iter", "5",
+                "--format", fmt]
+        with pytest.raises(DomainError) as err:
+            main(argv)
+        assert str(err.value) == self.NOT_FINITE[1]
+        assert capsys.readouterr().out == ""
+
     def test_sample_phi_and_region_are_consistent(self):
         rep = iterate(P0, State(0.2, 0.6), 10**6, 1e-10, stride=17)
         for s in rep.samples:
@@ -508,6 +529,17 @@ def _reference_iterate(p, z0, max_iter, tol, stride):
                             beta_vs_threshold(p) == 0)
 
 
+def _reference_simulate_csv(report):
+    """The CLI's simulate CSV as it was: one f-string per `TrajectorySample`."""
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    return "\n".join(["n,x,y,phi,region"] + [
+        f"{s.n},{fmt(s.state.x)},{fmt(s.state.y)},{fmt(s.phi)},{s.region.value}"
+        for s in report.samples
+    ]) + "\n"
+
+
 REFERENCE_CASES = ["p0", "boundary", "sampled", "ambiguous", "budget", "large_y"]
 
 
@@ -544,6 +576,45 @@ class TestReferenceLaneLoop:
                 got = iterate(p, State(x0, y0), max_iter, tol, stride)
                 want = _reference_iterate(p, State(x0, y0), max_iter, tol, stride)
                 assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_cli_csv_matches_reference_writer(self, case, capsys):
+        p, starts, max_iter, tol = _reference_lanes(case)
+        flags = [f"--{k}={getattr(p, k)!r}" for k in ("alpha", "beta", "mu", "d0")]
+        for x0, y0 in starts:
+            for stride in (1, 7, max_iter):
+                assert main(["simulate", *flags, f"--x0={x0!r}", f"--y0={y0!r}",
+                             f"--max-iter={max_iter}", f"--tol={tol!r}",
+                             f"--stride={stride}"]) == 0
+                want = _reference_iterate(p, State(x0, y0), max_iter, tol, stride)
+                assert capsys.readouterr().out == _reference_simulate_csv(want)
+
+    def test_cli_cases_cover_budget_and_stop_rows(self):
+        """The cases above hold runs whose budget runs out, and stopped runs
+        whose last row is a sampled step or an extra final row."""
+        seen = set()
+        for case in REFERENCE_CASES:
+            p, starts, max_iter, tol = _reference_lanes(case)
+            for x0, y0 in starts:
+                rep = iterate(p, State(x0, y0), max_iter, tol)
+                used = rep.iterations_used
+                if used == max_iter:
+                    seen.add("budget")
+                elif used > 0:
+                    seen.add("stop_sampled" if used % 7 == 0 else "stop_extra_row")
+        assert seen == {"budget", "stop_sampled", "stop_extra_row"}
+
+
+class TestOrbitColumns:
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_phi_column_matches_scalar_phi(self, case):
+        p, starts, max_iter, tol = _reference_lanes(case)
+        for x0, y0 in starts:
+            _, _, _, xs, ys, phis, _ = trajectory._orbit_columns(
+                p, State(x0, y0), max_iter, tol, 1)
+            want = [(p.mu * x + p.beta * y).hex()
+                    for x, y in zip(xs.tolist(), ys.tolist())]
+            assert [v.hex() for v in phis.tolist()] == want
 
 
 class TestBasinRaster:
