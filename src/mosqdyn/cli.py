@@ -237,7 +237,10 @@ def _run_simulate(cfg: argparse.Namespace):
     """The orbit's columns for CSV, its `iterate` report for JSON."""
     max_iter, tol = _budgets(cfg)
     orbit = _orbit_columns if cfg.format == "csv" else iterate
-    return 0, orbit(cfg.params, cfg.z0, max_iter, tol, cfg.stride)
+    try:
+        return 0, orbit(cfg.params, cfg.z0, max_iter, tol, cfg.stride)
+    except DomainError as e:
+        raise UsageError(f"--x0/--y0: the orbit overflows: {e}") from None
 
 
 #: Region names by the codes of `trajectory._orbit_columns`.

@@ -54,6 +54,15 @@ from .errors import (
 #: clamped to exactly 0; anything more negative is a hard error.
 CLAMP_TOL = 1e-12
 
+#: The vector loops (`trajectory.classify_batch`, `cycles._newton_cycle_batch`)
+#: hand their lanes to a scalar loop per lane once at most this many are left.
+#: On threshold orbits the two loops cost the same at about 64-72 lanes and on
+#: P0 orbits at about 128 (2-core x86 host): below that, numpy's per-call
+#: dispatch outweighs the lanes' arithmetic.  The constant is the lower of the
+#: two crossovers.  The Newton search barely cares: 300 grid-30 searches took
+#: 0.41-0.42 s at 16 to 128, 0.46 s at 256 and 0.58 s with no handoff.
+NARROW_LANES = 64
+
 
 @dataclass(frozen=True)
 class Params:

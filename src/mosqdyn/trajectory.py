@@ -22,6 +22,7 @@ import numpy as np
 
 from . import _sampling
 from .core import (
+    NARROW_LANES,
     Params,
     State,
     _clamp,
@@ -36,13 +37,6 @@ from .geometry import RegionLabel, _region_codes, omega_bounds
 
 #: "Near a fixed point" means within this multiple of tol, max norm.
 NEAR_FACTOR = 10.0
-
-#: `classify_batch` runs the scalar lane loop on batches of at most this many
-#: lanes and the vector loop on wider ones.  The two cost the same at about
-#: 64-72 lanes on threshold orbits and about 128 on P0 orbits (2-core x86
-#: host): below that, numpy's per-call dispatch outweighs the lanes'
-#: arithmetic.  The constant is the lower of the two crossovers.
-NARROW_LANES = 64
 
 
 class OmegaLimitClass(enum.IntEnum):

@@ -18,7 +18,7 @@ from mosqdyn import (
     validate_params,
 )
 from mosqdyn import cycles
-from mosqdyn.core import step_w0_raw
+from mosqdyn.core import NARROW_LANES, step_w0_raw
 from mosqdyn.cycles import (
     CertificateBranch,
     _newton_cycle_batch,
@@ -585,16 +585,28 @@ _NEWTON_TUPLES = [
 ]
 
 
+#: Handoff widths: vector passes only, one seed, the default, and wider than
+#: every seed array here, so that each active seed goes scalar on pass 1.
+_HANDOFF_WIDTHS = (0, 1, NARROW_LANES, 10**6)
+
+
 class TestNewtonMatchesReference:
-    """_newton_cycle_batch against the forked-helper, damping-loop form."""
+    """_newton_cycle_batch against the forked-helper, damping-loop form.
+
+    Every check runs the batch at each of _HANDOFF_WIDTHS.  They loop inside
+    the tests rather than parametrize them, so the reference runs once.
+    """
 
     @staticmethod
     def _assert_same(p, x0, y0, period, tol):
         want = _reference_newton(p, x0, y0, period, tol)
-        got = _newton_cycle_batch(p, x0, y0, period, tol)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+        for width in _HANDOFF_WIDTHS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cycles, "NARROW_LANES", width)
+                got = _newton_cycle_batch(p, x0, y0, period, tol)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), f"handoff width {width}"
         return got
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-14])
@@ -643,6 +655,33 @@ class TestNewtonMatchesReference:
         got = self._assert_same(p, np.array([rq.x_star, 1.0]),
                                 np.array([rq.y_star, 0.5]), period, 1e-10)
         assert rq.x_star not in got[0]
+
+    #: P0 seeds whose iterate meets the pole x = -1 after pass 0, where the
+    #: scalar loop runs: the helper that raises ZeroDivisionError there, the
+    #: period, and the seed.  The first seed's pass-1 trial step lands on
+    #: x = -1.  The second seed's pass-2 orbit passes through x = -1, so
+    #: numpy's residual is NaN.
+    POLE_SEEDS = {
+        "trial_step_on_pole": ("_orbit", 2, (-0.24680145083296143, 0.0)),
+        "nan_residual": ("_orbit_jacobian", 3, (-0.813880336464118, 33.0)),
+    }
+
+    @pytest.mark.parametrize("case", POLE_SEEDS)
+    def test_seed_meeting_the_pole(self, case, monkeypatch):
+        helper, period, (sx, sy) = self.POLE_SEEDS[case]
+        real, met = getattr(cycles, helper), []
+
+        def recording(*args):
+            try:
+                return real(*args)
+            except ZeroDivisionError:
+                met.append(args[1:3])
+                raise
+
+        monkeypatch.setattr(cycles, helper, recording)
+        with np.errstate(all="ignore"):
+            self._assert_same(P0, np.array([sx]), np.array([sy]), period, 1e-10)
+        assert len(met) == 3  # once at each width that reaches the scalar loop
 
     def test_no_seed_alive(self):
         nan = np.array([float("nan"), float("inf")])

@@ -5,8 +5,9 @@ small size.  After an intended output change, regenerate a file with
 ``python -m mosqdyn <argv> > tests/golden/<file>``, using the argv below.
 The SUBSTITUTED files pin failing reports: they hold the stdout of the same
 call made in-process with the listed substitution applied.  WIDE_BASIN pins
-a raster wide enough for the vector orbit loop, and ORBITS pins whole
-stride-1 orbits in both formats (tests/golden/simulate_orbit_<name>.<ext>).
+a raster wide enough for the vector orbit loop, ORBITS pins whole stride-1
+orbits in both formats (tests/golden/simulate_orbit_<name>.<ext>), and
+NEAR_CORNER_CYCLES pins a search that lists cycles (exit status 1).
 """
 
 from pathlib import Path
@@ -89,6 +90,23 @@ def test_wide_basin_matches_golden_bytes(workers, monkeypatch, capsys):
         monkeypatch.setenv("MOSQDYN_THREADS", workers)
     filename, argv = WIDE_BASIN
     assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / filename).read_bytes()
+
+
+#: The only golden cycles report that lists cycles, so the only one that pins
+#: Newton roots' bits: a hair above the corner mu = 1, alpha + d0 = 1 on the
+#: threshold, no certificate can be built and the grid-30 search reports 49
+#: spurious period-2 cycles near the origin, so the exit status is 1.  A
+#: cycle verdict that proves its roots will change this file.
+NEAR_CORNER_CYCLES = (
+    "cycles_near_corner_grid30.json",
+    ["cycles", "--alpha", "0.5", "--beta", "2.0000000000000004", "--mu", "1",
+     "--d0", "0.5", "--grid-n", "30"])
+
+
+def test_near_corner_cycles_match_golden_bytes(capsys):
+    filename, argv = NEAR_CORNER_CYCLES
+    assert main(argv) == 1
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / filename).read_bytes()
 
 

@@ -83,10 +83,11 @@ class TestIterate:
         argv = ["simulate", "--alpha", "0.5", "--beta", "2.0", "--mu", "0.8",
                 "--d0", "0.3", "--x0", "1", "--y0", "1e308", "--max-iter", "5",
                 "--format", fmt]
-        with pytest.raises(DomainError) as err:
-            main(argv)
-        assert str(err.value) == self.NOT_FINITE[1]
-        assert capsys.readouterr().out == ""
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("mosqdyn: error: --x0/--y0: the orbit overflows: "
+                       f"{self.NOT_FINITE[1]}\n")
 
     def test_sample_phi_and_region_are_consistent(self):
         rep = iterate(P0, State(0.2, 0.6), 10**6, 1e-10, stride=17)
