@@ -5,13 +5,15 @@ yields the same draws no matter what other streams were consumed before it,
 which keeps sampled experiments reproducible.  MOSQDYN_THREADS caps only
 the row fan-out of basin rasters (`map_chunks`, forked worker processes, so
 every piece runs in parallel, whatever its loop); sampled checks never fan out.
+
+`generator` and `map_chunks` import numpy inside, as every array path of
+the package does, so that `equilibria` and `sweep`, which work on floats
+alone, start without it.
 """
 
 from __future__ import annotations
 
 import os
-
-import numpy as np
 
 from .errors import UsageError
 
@@ -24,6 +26,7 @@ STREAM_MONOTONICITY = 2
 
 def generator(seed: int, *stream: int) -> np.random.Generator:
     """Philox generator keyed by a nonnegative seed plus stream ids."""
+    import numpy as np
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     key = np.random.SeedSequence(entropy=[int(seed), *(int(s) for s in stream)])
@@ -53,6 +56,7 @@ def map_chunks(fn, n: int) -> list:
     results must be picklable, and fn must return what it computes, not store
     it; then the list is identical for any worker count.
     """
+    import numpy as np
     bounds = np.linspace(0, n, max(1, min(thread_count(), n)) + 1).astype(int)
     ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     if len(ranges) > 1:

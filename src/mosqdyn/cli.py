@@ -24,6 +24,10 @@ violation (or a certificate fails, or a cycle is found), 2 on usage errors.
 Floats in CSV output carry 17 significant digits so downstream tools can
 reproduce states bit-exactly; identical invocations produce byte-identical
 files.
+
+Start-up: this module imports every analysis module, but not numpy; each
+array path imports it when it runs.  So `equilibria`, `sweep`, usage
+errors and ``--help`` finish without loading numpy.
 """
 
 from __future__ import annotations
@@ -32,10 +36,9 @@ import argparse
 import enum
 import functools
 import json
+import math
 import sys
 from dataclasses import fields, is_dataclass
-
-import numpy as np
 
 from . import _sampling
 from .core import Params, State, validate_params
@@ -180,7 +183,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         except DomainError as e:
             raise UsageError(f"--x0/--y0: {e}") from None
 
-    if ns.tol is not None and not 0.0 < ns.tol < np.inf:  # also refuses NaN
+    if ns.tol is not None and not 0.0 < ns.tol < math.inf:  # also refuses NaN
         raise UsageError(f"--tol: must be positive and finite, got {ns.tol}")
     for key, least in _AT_LEAST.items():
         value = getattr(ns, key)
@@ -228,7 +231,7 @@ def _plain(obj):
         return [_plain(v) for v in obj]
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
+    if hasattr(obj, "tolist"):  # a numpy array, without importing numpy
         return obj.tolist()
     return obj
 
@@ -244,14 +247,15 @@ def _run_simulate(cfg: argparse.Namespace):
 
 
 #: Region names by the codes of `trajectory._orbit_columns`.
-_REGION_VALUES = np.array([r.value for r in RegionLabel])
+_REGION_VALUES = tuple(r.value for r in RegionLabel)
 
 
 def _simulate_csv(orbit) -> str:
     """All rows in one %-format of the interleaved columns (%.17g is `_fmt`)."""
+    import numpy as np
     *_, n, x, y, phi, codes = orbit
     cells = [None] * (5 * len(n))
-    for k, column in enumerate((n, x, y, phi, _REGION_VALUES[codes])):
+    for k, column in enumerate((n, x, y, phi, np.array(_REGION_VALUES)[codes])):
         cells[k::5] = column.tolist()
     return "n,x,y,phi,region\n" + "%d,%.17g,%.17g,%.17g,%s\n" * len(n) % tuple(cells)
 
@@ -324,6 +328,7 @@ def _run_basin(cfg: argparse.Namespace):
 
 
 def _basin_csv(raster) -> str:
+    import numpy as np
     n, m = raster.codes.shape  # codes are the single digits 0-3
     out = np.full((n, 2 * m), ord(","), np.uint8)
     out[:, ::2], out[:, -1] = raster.codes + ord("0"), ord("\n")

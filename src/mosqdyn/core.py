@@ -40,8 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (
     DomainError,
     NegativeDeathError,
@@ -193,6 +191,7 @@ def step_w0_into(p: Params, x: np.ndarray, y: np.ndarray, xn: np.ndarray,
     step_w0_raw, so the two agree bit for bit; loops that step the same
     lanes many times use this form to allocate nothing per step.
     """
+    import numpy as np
     np.multiply(p.alpha, x, out=em)
     np.add(1.0, x, out=xn)
     np.divide(em, xn, out=em)
@@ -208,6 +207,7 @@ def step_w0_into(p: Params, x: np.ndarray, y: np.ndarray, xn: np.ndarray,
 
 def step_w0_batch(p: Params, x: np.ndarray, y: np.ndarray):
     """Vectorized step_w0 over coordinate arrays, with the same clamping."""
+    import numpy as np
     require_w0(p)
     xn, yn, em = (np.empty(np.broadcast(x, y).shape) for _ in range(3))
     step_w0_into(p, x, y, xn, yn, em)
@@ -225,6 +225,7 @@ def _clamp(v: float) -> float:
 
 def _clamp_into(x: np.ndarray, y: np.ndarray) -> None:
     """Apply _clamp's rule to two float arrays in place; NaN lanes are skipped."""
+    import numpy as np
     lo = min(np.fmin.reduce(x, axis=None, initial=0.0),
              np.fmin.reduce(y, axis=None, initial=0.0))
     if lo < 0.0:

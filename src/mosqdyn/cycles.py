@@ -29,8 +29,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import NARROW_LANES, Params, require_w0, step_w0_raw
 from .equilibria import beta_vs_threshold, jacobian_entries
 from .errors import BranchError, CertificateFailure, RegimeError
@@ -284,6 +282,7 @@ def _newton_cycle_batch(p: Params, x0, y0, period: int, tol: float):
     waits for pass 1.  The result is bit-identical to running every pass on
     the vector path, as `test_cycles._reference_newton` does.
     """
+    import numpy as np
     x, y = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
     alive = np.isfinite(x) & np.isfinite(y)
     for it in range(_NEWTON_MAX_ITER + 1):
@@ -407,12 +406,13 @@ def brute_force_cycle_search(p: Params, period: int, grid_n: int,
     orbit rotation).  An empty list is the expected outcome for every
     admissible parameter set.
     """
+    import numpy as np
     require_w0(p)
     if period not in (2, 3, 4):
         raise ValueError(f"period must be 2, 3, or 4, got {period}")
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")
-    if not 0.0 < tol < np.inf:  # NaN, 0 or inf would vacuously answer "none"
+    if not 0.0 < tol < math.inf:  # NaN, 0 or inf would vacuously answer "none"
         raise ValueError(f"tol must be positive and finite, got {tol}")
     b = omega_bounds(p)
     gx = np.linspace(0.0, b.x_max, grid_n)

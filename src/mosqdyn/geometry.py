@@ -23,8 +23,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _sampling
 from .core import Params, State, require_w0, step_w0_batch
 from .equilibria import regime_quantities
@@ -113,6 +111,7 @@ def _region_codes(b: RegionBounds, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     The same comparisons in the same order, the first match winning.
     """
+    import numpy as np
     outside = (x > b.x_max) | (y > b.y_max)
     if b.x_star is None:
         return np.where(outside, 5, 4)
@@ -175,6 +174,7 @@ def check_invariance(p: Params, region: RegionLabel, n_samples: int,
     CONTAINMENT_TOL in some coordinate; violations are reported in sample
     order together with the worst excursion seen.
     """
+    import numpy as np
     require_w0(p)
     if region not in (RegionLabel.OMEGA1, RegionLabel.OMEGA2, RegionLabel.OMEGA_ONLY):
         raise NotClaimedInvariantError(
@@ -185,8 +185,10 @@ def check_invariance(p: Params, region: RegionLabel, n_samples: int,
                                      _sampling.STREAM_INVARIANCE)
     # a running maximum; the operand order decides which of 0.0 and -0.0 wins
     ex = np.subtract(x_lo, xp)
-    for m in (xp - x_hi, y_lo - yp, yp - y_hi, 0.0):
-        np.maximum(ex, m, out=ex)
+    m = np.empty_like(ex)
+    for a, b in ((xp, x_hi), (y_lo, yp), (yp, y_hi)):
+        np.maximum(ex, np.subtract(a, b, out=m), out=ex)
+    np.maximum(ex, 0.0, out=ex)
     violations = [
         RegionViolation(
             index=int(i), x=float(xs[i]), y=float(ys[i]),

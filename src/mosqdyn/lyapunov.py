@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _sampling
 from .core import Params, State, require_w0, step_w0
 from .equilibria import beta_vs_threshold, regime_quantities
@@ -111,6 +109,7 @@ def monotonicity_report(p: Params, n_samples: int, seed: int) -> MonotonicityRep
     with SIGN_TOL slack; the worst margin and its sample point are reported
     whether or not anything violated.
     """
+    import numpy as np
     require_w0(p)
     rel = beta_vs_threshold(p)
     if rel < 0:
@@ -131,7 +130,11 @@ def monotonicity_report(p: Params, n_samples: int, seed: int) -> MonotonicityRep
         if n_samples == 0:
             entries.append(RegionMonotonicity(region, claim, 0, 0, None, None))
             continue
-        delta = (p.mu * xp + p.beta * yp) - (p.mu * xs + p.beta * ys)
+        # phi(image) - phi(sample), written over the images
+        np.multiply(p.mu, xp, out=xp)
+        np.add(xp, np.multiply(p.beta, yp, out=yp), out=xp)
+        np.add(np.multiply(p.mu, xs, out=yp), p.beta * ys, out=yp)
+        delta = np.subtract(xp, yp, out=xp)
         if claim == "nondecreasing":
             bad = delta < -SIGN_TOL
             worst_i = int(np.argmin(delta))

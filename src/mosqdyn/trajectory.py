@@ -18,8 +18,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _sampling
 from .core import (
     NARROW_LANES,
@@ -161,6 +159,7 @@ def _orbit_columns(p: Params, z0: State, max_iter: int, tol: float, stride: int)
     does all of `State`'s validation: the first sample that fails it raises
     `State`'s own DomainError.
     """
+    import numpy as np
     fps, near = _stopping_rule(p, tol, max_iter)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -261,6 +260,7 @@ def classify_batch(p: Params, x0: np.ndarray, y0: np.ndarray, max_iter: int,
 
 def _classify(p: Params, x0, y0, max_iter: int, tol: float, box):
     """`classify_batch`, with lanes inside a `_contraction_box` box stopping."""
+    import numpy as np
     fps, near = _stopping_rule(p, tol, max_iter)
     x = np.array(x0, dtype=float)
     y = np.array(y0, dtype=float)
@@ -303,6 +303,7 @@ def _classify_wide(p, max_iter, tol, fps, near, box, codes, iters, fx, fy):
     the budget runs out first, it writes the final states and returns no
     lanes.
     """
+    import numpy as np
     n = fx.size
     x, y = fx.copy(), fy.copy()
     xn, yn, em, d, e = (np.empty(n) for _ in range(5))
@@ -434,6 +435,7 @@ def _contraction_box(p: Params, fps, near: float):
 def _basin_rows(p: Params, xs, ys, max_iter: int, tol: float, box, row_a: int,
                 row_b: int):
     """Codes of lattice rows row_a..row_b-1 (module-level, so it pickles)."""
+    import numpy as np
     gx, gy = np.meshgrid(xs, ys[row_a:row_b])
     got, _, _, _ = _classify(p, gx.ravel(), gy.ravel(), max_iter, tol, box)
     return got.reshape(row_b - row_a, len(xs))
@@ -455,6 +457,7 @@ def basin_raster(p: Params, grid_n: int, max_iter: int, tol: float) -> BasinRast
     alike, and the blocks are stacked in row order.  The codes are the same
     bytes for every piece width and worker count.
     """
+    import numpy as np
     require_w0(p)
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")

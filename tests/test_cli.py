@@ -16,6 +16,17 @@ from mosqdyn.trajectory import BasinRaster
 P0_FLAGS = ["--alpha", "0.5", "--beta", "2", "--mu", "0.8", "--d0", "0.3"]
 
 
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` in a new interpreter that imports this mosqdyn."""
+    # the child imports the same mosqdyn as this process, installed or not
+    src = str(Path(mosqdyn.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
 class TestParseArgs:
     def test_simulate_mapping(self):
         cfg = parse_args(["simulate", *P0_FLAGS, "--x0", "1", "--y0", "0.5"])
@@ -426,17 +437,8 @@ class TestDeterminismAndExitCodes:
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "eq.json"
-        # the child imports the same mosqdyn as this process, installed or not
-        src = str(Path(mosqdyn.__file__).resolve().parent.parent)
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "mosqdyn", "equilibria", *P0_FLAGS,
-             "--out", str(out)],
-            capture_output=True,
-            env=env,
-        )
+        proc = _fresh_python("-m", "mosqdyn", "equilibria", *P0_FLAGS,
+                             "--out", str(out))
         assert proc.returncode == 0
         assert json.loads(out.read_text())["regime"]["x_star"] == pytest.approx(1.5)
 
@@ -457,3 +459,61 @@ class TestDeterminismAndExitCodes:
         expected = step_w0(p, State(0.1, 0.2))
         last = out.strip().split("\n")[-1].split(",")
         assert float(last[1]) == expected.x and float(last[2]) == expected.y
+
+
+#: Runs argv through the console script's entry point, or as
+#: ``python -m mosqdyn`` when the first argument is "-m", and reports on the
+#: last stderr line whether numpy was loaded by the end.
+_REPORT_NUMPY = """\
+import runpy, sys
+try:
+    if sys.argv[1] == "-m":
+        sys.argv = ["mosqdyn", *sys.argv[2:]]
+        runpy.run_module("mosqdyn", run_name="__main__", alter_sys=True)
+    else:
+        from mosqdyn.cli import main
+        sys.exit(main(sys.argv[1:]))
+finally:
+    print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def _exit_and_numpy(*argv: str) -> tuple[int, bool]:
+    proc = _fresh_python("-c", _REPORT_NUMPY, *argv)
+    last = proc.stderr.splitlines()[-1:]
+    assert last and last[0].startswith("numpy loaded: "), proc.stderr
+    return proc.returncode, last[0] == "numpy loaded: True"
+
+
+class TestStartImports:
+    """Commands that need no arrays start without numpy; the others load it."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["equilibria", *P0_FLAGS], 0),
+        (["sweep", *P0_FLAGS, "--grid-n", "4"], 0),
+        (["equilibria", "--alpha", "-1", "--beta", "2", "--mu", "0.8",
+          "--d0", "0.3"], 2),
+        (["--help"], 0),
+        (["-m", "equilibria", *P0_FLAGS], 0),
+    ], ids=["equilibria", "sweep", "usage_error", "help", "python_m"])
+    def test_scalar_commands_load_no_numpy(self, argv, code):
+        assert _exit_and_numpy(*argv) == (code, False)
+
+    @pytest.mark.parametrize("argv", [
+        ["basin", *P0_FLAGS, "--grid-n", "2", "--max-iter", "10"],
+        ["cycles", *P0_FLAGS, "--grid-n", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_array_commands_load_numpy(self, argv):
+        assert _exit_and_numpy(*argv) == (0, True)
+
+    def test_cli_imports_every_submodule_but_not_numpy(self):
+        # a process that already holds numpy runs the same code as before and
+        # imports nothing new inside a timed call
+        proc = _fresh_python("-c", (
+            "import json, sys, mosqdyn.cli; print(json.dumps(sorted("
+            "m for m in sys.modules if m == 'numpy' or m.startswith('mosqdyn.'))))"))
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        assert "numpy" not in loaded
+        assert {"mosqdyn.trajectory", "mosqdyn.cycles", "mosqdyn.geometry",
+                "mosqdyn.lyapunov"} <= loaded
