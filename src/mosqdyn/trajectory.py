@@ -288,20 +288,21 @@ def _classify(p: Params, x0, y0, max_iter: int, tol: float, box):
 
 
 def _classify_wide(p, max_iter, tol, fps, near, box, codes, iters, fx, fy):
-    """The stopping rule over all lanes at once, allocating nothing per step.
+    """The stopping rule over all lanes at once, in preallocated buffers.
 
     Like `_run_lane`, each step tests nearness to every fixed point first
     and runs the step-size test only when some lane is near one; with a
     `_contraction_box` box, a lane inside it stops at once.  fx, fy hold
-    the starts on entry.  A lane that stops is recorded, then set to NaN:
-    NaN never moves less than tol, is never near a fixed point and is
-    skipped by `_clamp_into`, so stopped lanes drop out of every per-step
-    test without compaction.  Once at most NARROW_LANES lanes are live, the
-    loop stops, writes their states to fx, fy and returns (their indices,
-    steps taken), so that the scalar loop finishes them; the few slow lanes
-    of a basin then do not drag every stopped lane through each step.  When
-    the budget runs out first, it writes the final states and returns no
-    lanes.
+    the starts on entry.  A lane that stops is recorded at its own index,
+    then set to NaN: NaN never moves less than tol, is never near a fixed
+    point and is skipped by `_clamp_into`.  Once at most half of the width
+    w is live, the live lanes move to the front of the buffers, `lane` maps
+    each slot to its lane, and later steps run on ``[:w]`` views: no copy
+    is wider than w/2, and at least half the lanes a step runs are live.  Once
+    at most NARROW_LANES lanes are live, the loop writes their states to
+    fx, fy and returns (their indices, steps taken) for the scalar loop to
+    finish them.  When the budget runs out first, it writes the final
+    states and returns no lanes.
     """
     import numpy as np
     n = fx.size
@@ -309,8 +310,12 @@ def _classify_wide(p, max_iter, tol, fps, near, box, codes, iters, fx, fy):
     xn, yn, em, d, e = (np.empty(n) for _ in range(5))
     small, hit = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     near_fp = [np.empty(n, dtype=bool) for _ in fps]  # fps[0] is the origin
+    lane, live, w = None, np.ones(n, dtype=bool), n  # no slot has moved yet
+
+    def lanes(slots):
+        return slots if lane is None else lane[slots]
+
     rx, ry = box or (near, near)
-    live = np.ones(n, dtype=bool)
     for it in range(max_iter):
         step_w0_into(p, x, y, xn, yn, em)
         _clamp_into(xn, yn)
@@ -339,26 +344,33 @@ def _classify_wide(p, max_iter, tol, fps, near, box, codes, iters, fx, fy):
                     np.logical_or(small, near_fp[1], out=small)
                 np.logical_and(hit, small, out=hit)
             if hit.any():
+                stop = np.flatnonzero(hit)
+                at = lanes(stop)
                 for (_, _, cls), mk in zip(fps, near_fp):
-                    np.logical_and(mk, hit, out=mk)
-                    np.copyto(codes, int(cls), where=mk)
-                if len(near_fp) == 2:
-                    np.logical_and(*near_fp, out=small)  # near both fixed points
-                    np.copyto(codes, int(OmegaLimitClass.UNDETERMINED), where=small)
-                np.copyto(iters, it, where=hit)
-                np.copyto(fx, x, where=hit)
-                np.copyto(fy, y, where=hit)
-                np.copyto(live, False, where=hit)
-                if np.count_nonzero(live) <= NARROW_LANES:
-                    left = np.flatnonzero(live)
-                    fx[left], fy[left] = xn[left], yn[left]
-                    return left.tolist(), it + 1
-                np.copyto(xn, np.nan, where=hit)
-                np.copyto(yn, np.nan, where=hit)
+                    codes[at[mk[stop]]] = int(cls)
+                if len(near_fp) == 2:  # near both fixed points
+                    both = near_fp[0][stop] & near_fp[1][stop]
+                    codes[at[both]] = int(OmegaLimitClass.UNDETERMINED)
+                iters[at], fx[at], fy[at] = it, x[stop], y[stop]
+                live[stop] = False
+                left = np.count_nonzero(live)
+                if left <= max(w // 2, NARROW_LANES):
+                    keep = np.flatnonzero(live)
+                    if left <= NARROW_LANES:
+                        at = lanes(keep)
+                        fx[at], fy[at] = xn[keep], yn[keep]
+                        return at.tolist(), it + 1
+                    w, lane = left, lanes(keep)
+                    for a in (xn, yn):
+                        a[:w] = a[keep]
+                    x, y, xn, yn, em, d, e, small, hit, live, *near_fp = (
+                        a[:w] for a in (x, y, xn, yn, em, d, e, small, hit, live, *near_fp))
+                    live[:] = True
+                else:
+                    xn[stop] = yn[stop] = np.nan
         x, xn = xn, x
         y, yn = yn, y
-    np.copyto(fx, x, where=live)
-    np.copyto(fy, y, where=live)
+    fx[lanes(live)], fy[lanes(live)] = x[live], y[live]
     return [], max_iter
 
 

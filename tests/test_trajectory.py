@@ -341,6 +341,36 @@ def _lanes(case, width, rng):
     return p, xs, ys, max_iter, tol
 
 
+#: Wide batches whose lanes stop over many steps, so that the vector loop
+#: compacts its live lanes several times: (p, max_iter, tol, with the box).
+COMPACTING = {
+    "p0_box": (P0, 20_000, 1e-8, True),
+    "p0": (P0, 20_000, 1e-8, False),
+    "threshold": (P_BOUNDARY, 20_000, 1e-3, False),
+    # P0 lanes stop from step 109 on: the budget runs out after three
+    # compactions, with more lanes live than the scalar loop takes
+    "budget": (P0, 118, 1e-8, False),
+}
+
+
+def _compactions(iters, max_iter):
+    """(compactions, live lanes at the hand-off or budget's end) of a wide run.
+
+    Replays the vector loop's halving rule on the steps at which its lanes
+    stopped; a lane whose budget ran out reads max_iter.
+    """
+    stops = np.sort(iters[iters < max_iter])
+    width = live = iters.size
+    count = 0
+    for it in np.unique(stops):
+        live = iters.size - int(np.searchsorted(stops, it, side="right"))
+        if live <= NARROW_LANES:
+            break
+        if live <= width // 2:
+            width, count = live, count + 1
+    return count, live
+
+
 #: Lane counts on both sides of the narrow/wide switch, two more narrow
 #: ones, and a wide 2-D grid.
 WIDTHS = {1: (1, 1), 48: (1, 48), 49: (49, 1), NARROW_LANES: (1, NARROW_LANES),
@@ -383,6 +413,25 @@ class TestClassifyBatchWidths:
         for tol in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="tol"):
                 classify_batch(P0, [1.0], [0.5], 50, tol)
+
+    @pytest.mark.parametrize("width", [4096, 20_000])
+    @pytest.mark.parametrize("case", list(COMPACTING))
+    def test_compacted_lanes_match_the_lane_loop(self, case, width):
+        p, max_iter, tol, boxed = COMPACTING[case]
+        xs, ys = sample_omega_points(p, make_rng(width), width)
+        fps, near = trajectory._stopping_rule(p, tol, max_iter)
+        box = trajectory._contraction_box(p, fps, near) if boxed else None
+        got = trajectory._classify(p, xs, ys, max_iter, tol, box)
+        compactions, live = _compactions(got[1], max_iter)
+        assert compactions >= 3
+        assert (live > NARROW_LANES) == (case == "budget")
+        want = [np.empty(width, dtype=a.dtype) for a in got]
+        for i in range(width):
+            hit, want[1][i], want[2][i], want[3][i], _ = trajectory._run_lane(
+                p, float(xs[i]), float(ys[i]), max_iter, tol, fps, near, max_iter, box)
+            want[0][i] = OmegaLimitClass.UNDETERMINED if hit is None else hit
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 #: tol = 0.1 * 2**-24 makes near = NEAR_FACTOR * tol exactly 2**-24.
@@ -779,9 +828,11 @@ class TestBoxRaster:
     """`basin_raster` stops lanes in the box; `classify_batch` keeps the rule."""
 
     # grid 6 runs the scalar loop alone, also in two pieces; grid 20 runs
-    # the vector loop, also in two pieces of 200 lanes
-    @pytest.mark.parametrize("workers", [None, "2"], ids=["threads_unset", "threads_2"])
-    @pytest.mark.parametrize("grid_n", [6, 20])
+    # the vector loop, also in two pieces of 200 lanes; grid 64 compacts
+    # the vector loop's lanes, also in three uneven pieces
+    @pytest.mark.parametrize("workers", [None, "2", "3"],
+                             ids=["threads_unset", "threads_2", "threads_3"])
+    @pytest.mark.parametrize("grid_n", [6, 20, 64])
     def test_codes_equal_the_rule_wherever_it_decides(self, monkeypatch, grid_n,
                                                       workers):
         monkeypatch.delenv("MOSQDYN_THREADS", raising=False)
