@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .core import NARROW_LANES, Params, require_w0, step_w0_raw
-from .equilibria import beta_vs_threshold, jacobian_entries
+from .equilibria import beta_vs_threshold, jacobian_entries, order_sandwich
 from .errors import BranchError, CertificateFailure, RegimeError
 from .geometry import omega_bounds
 
@@ -369,23 +369,6 @@ def _newton_seed(p: Params, x: float, y: float, period: int, tol: float,
             return None
 
 
-def _at_or_below_threshold(p: Params) -> bool:
-    """beta <= mu*(1 + d0/alpha), decided exactly on the float constants.
-
-    Then phi = mu*x + beta*y changes by x*((beta - mu)*alpha/(1 + x) - mu*d0)
-    < 0 in every step from x > 0.  The changes sum to 0 over a cycle, so
-    every point of a cycle has x = 0, and the origin is the only periodic
-    point.  `beta_vs_threshold`'s relative band would also admit tuples
-    just above the threshold, where phi rises for x < x*.
-    """
-    # Imported here: at module level it would add about 3 ms and 0.3 MB to
-    # the start-up of every command.
-    from fractions import Fraction
-
-    alpha, beta, mu, d0 = map(Fraction, (p.alpha, p.beta, p.mu, p.d0))
-    return beta <= mu * (1 + d0 / alpha)
-
-
 def _canonical_rotation(pts):
     k = min(range(len(pts)), key=lambda i: pts[i])
     return tuple(pts[k:] + pts[:k])
@@ -400,8 +383,12 @@ def brute_force_cycle_search(p: Params, period: int, grid_n: int,
     quadrant (below -1e-9, or NaN); an orbit point lies within DEDUP_RADIUS
     (max norm) of a known fixed point; two orbit points lie within
     DEDUP_RADIUS, so the minimal period is shorter; beta is at or below the
-    threshold and an orbit point has x > 0, which no cycle has there (see
-    `_at_or_below_threshold`).  Only the survivors, in root order, are
+    threshold, decided exactly by `order_sandwich`, and an orbit point has
+    x > 0.  There phi = mu*x + beta*y changes by x*((beta - mu)*alpha/(1 + x)
+    - mu*d0) < 0 in every step from x > 0, the changes sum to 0 over a
+    cycle, so the origin is the only periodic point.  (`beta_vs_threshold`'s
+    relative band would also admit tuples just above the threshold, where
+    phi rises for x < x*.)  Only the survivors, in root order, are
     rotated to a canonical start and deduplicated (DEDUP_RADIUS, up to
     orbit rotation).  An empty list is the expected outcome for every
     admissible parameter set.
@@ -435,7 +422,7 @@ def brute_force_cycle_search(p: Params, period: int, grid_n: int,
     gaps.append((xs[i] - xs[j], ys[i] - ys[j]))  # shorter minimal period
     for dx, dy in gaps:
         keep &= ~(np.maximum(np.abs(dx), np.abs(dy)) < DEDUP_RADIUS).any(axis=0)
-    if _at_or_below_threshold(p):
+    if order_sandwich(p) is None:
         keep &= ~(xs > 0.0).any(axis=0)
 
     cycles: list[Cycle] = []

@@ -8,7 +8,9 @@ The iterator detects convergence numerically (step size below tol while
 sitting within NEAR_FACTOR*tol of a known fixed point) and otherwise
 reports its budget ran out.  Undetermined is a first-class outcome, never
 coerced: it is also the answer when the point sits that near to both fixed
-points at once.
+points at once.  Above the threshold, basin rasters take their codes from
+the exact order sandwich (`equilibria.order_sandwich`) instead, without a
+step.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .core import (
     step_w0,
     step_w0_into,
 )
-from .equilibria import beta_vs_threshold, regime_quantities
+from .equilibria import beta_vs_threshold, order_sandwich, regime_quantities
 from .errors import DomainError
 from .geometry import RegionLabel, _region_codes, omega_bounds
 
@@ -104,7 +106,7 @@ def _stopping_rule(p: Params, tol: float, max_iter: int):
 
 
 def _run_lane(p: Params, x: float, y: float, n: int, tol: float, fps, near,
-              stride: int, box=None):
+              stride: int):
     """At most n steps of one orbit under the stopping rule of `iterate`.
 
     Returns (limit, steps committed, x, y, trail); limit is None when all n
@@ -114,14 +116,11 @@ def _run_lane(p: Params, x: float, y: float, n: int, tol: float, fps, near,
     call; `test_trajectory.TestReferenceLaneLoop` pins it to the loop that
     calls `step_w0_raw`.  Lanes stay >= 0, so the near test of the origin
     is two comparisons, and it runs before the step-size test because a
-    lane is far from every fixed point on most steps.  A `_contraction_box`
-    box takes the place of the positive fixed point's near square, and a
-    lane inside it stops at once, without the step-size test.
+    lane is far from every fixed point on most steps.
     """
     alpha, beta, mu, d0 = p.alpha, p.beta, p.mu, p.d0
     # Without a positive fixed point its near test can never pass.
     sx, sy = fps[1][:2] if len(fps) > 1 else (math.inf, math.inf)
-    rx, ry = box or (near, near)
     trail = []
     done = 0
     while done < n:
@@ -132,9 +131,7 @@ def _run_lane(p: Params, x: float, y: float, n: int, tol: float, fps, near,
             yn = em - mu * y + y
             if xn < 0.0 or yn < 0.0:
                 xn, yn = _clamp(xn), _clamp(yn)
-            if x <= near and y <= near or abs(x - sx) <= rx and abs(y - sy) <= ry:
-                if box and (x > near or y > near):  # in the box, off the origin's square
-                    return OmegaLimitClass.CONVERGED_TO_POSITIVE_FIXED_POINT, k, x, y, trail
+            if x <= near and y <= near or abs(x - sx) <= near and abs(y - sy) <= near:
                 if abs(xn - x) < tol and abs(yn - y) < tol:
                     hit = None
                     for fx, fy, cls in fps:
@@ -255,11 +252,6 @@ def classify_batch(p: Params, x0: np.ndarray, y0: np.ndarray, max_iter: int,
     loop, so the output does not depend on the batch width.  Starts must be
     finite and nonnegative, as for `State`.
     """
-    return _classify(p, x0, y0, max_iter, tol, None)
-
-
-def _classify(p: Params, x0, y0, max_iter: int, tol: float, box):
-    """`classify_batch`, with lanes inside a `_contraction_box` box stopping."""
     import numpy as np
     fps, near = _stopping_rule(p, tol, max_iter)
     x = np.array(x0, dtype=float)
@@ -275,24 +267,23 @@ def _classify(p: Params, x0, y0, max_iter: int, tol: float, box):
     flat = (codes.reshape(-1), iters.reshape(-1), x.reshape(-1), y.reshape(-1))
     left, done = range(x.size), 0
     if x.size > NARROW_LANES:
-        left, done = _classify_wide(p, max_iter, tol, fps, near, box, *flat)
+        left, done = _classify_wide(p, max_iter, tol, fps, near, *flat)
     lane_codes, lane_iters, lane_x, lane_y = flat
     rest = max_iter - done
     for i in left:
         hit, used, lane_x[i], lane_y[i], _ = _run_lane(
-            p, float(lane_x[i]), float(lane_y[i]), rest, tol, fps, near, rest, box)
+            p, float(lane_x[i]), float(lane_y[i]), rest, tol, fps, near, rest)
         lane_iters[i] = done + used
         if hit is not None:
             lane_codes[i] = hit
     return codes, iters, x, y
 
 
-def _classify_wide(p, max_iter, tol, fps, near, box, codes, iters, fx, fy):
+def _classify_wide(p, max_iter, tol, fps, near, codes, iters, fx, fy):
     """The stopping rule over all lanes at once, in preallocated buffers.
 
     Like `_run_lane`, each step tests nearness to every fixed point first
-    and runs the step-size test only when some lane is near one; with a
-    `_contraction_box` box, a lane inside it stops at once.  fx, fy hold
+    and runs the step-size test only when some lane is near one.  fx, fy hold
     the starts on entry.  A lane that stops is recorded at its own index,
     then set to NaN: NaN never moves less than tol, is never near a fixed
     point and is skipped by `_clamp_into`.  Once at most half of the width
@@ -315,7 +306,6 @@ def _classify_wide(p, max_iter, tol, fps, near, box, codes, iters, fx, fy):
     def lanes(slots):
         return slots if lane is None else lane[slots]
 
-    rx, ry = box or (near, near)
     for it in range(max_iter):
         step_w0_into(p, x, y, xn, yn, em)
         _clamp_into(xn, yn)
@@ -327,22 +317,18 @@ def _classify_wide(p, max_iter, tol, fps, near, box, codes, iters, fx, fy):
             np.abs(d, out=d)
             np.subtract(y, sy, out=e)
             np.abs(e, out=e)
-            np.less_equal(d, rx, out=mk)
-            np.less_equal(e, ry, out=small)
+            np.less_equal(d, near, out=mk)
+            np.less_equal(e, near, out=small)
             np.logical_and(mk, small, out=mk)
         np.logical_or(near_fp[0], near_fp[-1], out=hit)
         if hit.any():
-            # lanes in the box stop at once, the others when the step is small
-            if not box or near_fp[0].any():
-                np.subtract(xn, x, out=d)
-                np.abs(d, out=d)
-                np.subtract(yn, y, out=e)
-                np.abs(e, out=e)
-                np.maximum(d, e, out=d)
-                np.less(d, tol, out=small)
-                if box:
-                    np.logical_or(small, near_fp[1], out=small)
-                np.logical_and(hit, small, out=hit)
+            np.subtract(xn, x, out=d)
+            np.abs(d, out=d)
+            np.subtract(yn, y, out=e)
+            np.abs(e, out=e)
+            np.maximum(d, e, out=d)
+            np.less(d, tol, out=small)
+            np.logical_and(hit, small, out=hit)
             if hit.any():
                 stop = np.flatnonzero(hit)
                 at = lanes(stop)
@@ -374,82 +360,12 @@ def _classify_wide(p, max_iter, tol, fps, near, box, codes, iters, fx, fy):
     return [], max_iter
 
 
-def _contraction_box(p: Params, fps, near: float):
-    """Membership radii (rx, ry) of a certified contraction box, or None.
-
-    On the restricted regime the map W sends the quadrant Q into itself,
-    and on B ∩ Q, for a box B = c ± R, its Jacobian is bounded entrywise in
-    modulus by M = [[max|1 - d0 - alpha/(1+x)^2|, beta],
-    [alpha/(1+x_lo)^2, 1 - mu]], the max taken over the box's x range.
-    With c the float positive fixed point, M·R + |W(c) - c| < R
-    componentwise makes W map B ∩ Q into itself and contract it in the norm
-    max(|x|/Rx, |y|/Ry), so the true fixed point is the only one in B ∩ Q
-    and every orbit that enters B ∩ Q converges to it.  The check runs in
-    outward-rounded arithmetic (`_interval`).  R points along the Perron
-    vector of M, which depends on Rx alone; Rx is halved from x* until the
-    check passes, then bisected to the largest value found.
-
-    rx and ry sit one ulp below R, so a float lane that passes
-    ``abs(x - c_x) <= rx and abs(y - c_y) <= ry`` in floats lies in B:
-    rounding is monotone and fixes floats, so the computed |x - c_x| < Rx
-    only where the exact one is.  B also contains the near square of c and
-    misses the origin's, so no lane is near both.  None when there is no
-    positive fixed point (fps holds only the origin) or no box passes; the
-    function never raises.
-    """
-    if len(fps) < 2:
-        return None
-    from . import _interval as iv  # here: no other command pays for the import
-
-    cx, cy = fps[1][:2]
-    one, alpha, beta, d0 = (1.0, 1.0), (p.alpha,) * 2, (p.beta,) * 2, (p.d0,) * 2
-    m22 = iv.sub(one, (p.mu,) * 2)
-    X, Y = (cx, cx), (cy, cy)
-    em = iv.div(iv.mul(alpha, X), iv.add(one, X))
-    wx = iv.add(iv.sub(iv.sub(iv.mul(beta, Y), em), iv.mul(d0, X)), X)
-    wy = iv.add(iv.sub(em, iv.mul((p.mu,) * 2, Y)), Y)
-    dx, dy = (iv.mag(iv.sub(wx, X)),) * 2, (iv.mag(iv.sub(wy, Y)),) * 2
-
-    def radii(rx: float):
-        """(rx, ry) if the box of x half-width rx passes, else None."""
-        x1 = iv.add(one, (max(0.0, iv.down(cx - rx)), iv.up(cx + rx)))  # 1 + x on B ∩ Q
-        m21 = iv.div(alpha, iv.mul(x1, x1))
-        m11 = iv.mag(iv.sub(iv.sub(one, d0), m21))
-        h = 0.5 * (m11 - m22[1])
-        s = math.sqrt(h * h + p.beta * m21[1])  # NaN, not an error, on NaN
-        v1, v2 = (s + h, m21[1]) if h >= 0.0 else (p.beta, s - h)  # Perron vector
-        if not v1 > 0.0:
-            return None
-        ry = rx * (v2 / v1)
-        if not (iv.down(rx) >= near and iv.down(ry) >= near
-                and (iv.down(cx - rx) > near or iv.down(cy - ry) > near)):
-            return None
-        R = (rx, rx), (ry, ry)
-        ux = iv.add(iv.add(iv.mul((m11, m11), R[0]), iv.mul(beta, R[1])), dx)
-        uy = iv.add(iv.add(iv.mul(m21, R[0]), iv.mul(m22, R[1])), dy)
-        return (rx, ry) if ux[1] < rx and uy[1] < ry else None
-
-    rx = cx
-    for _ in range(64):
-        if radii(rx):
-            break
-        rx *= 0.5
-    else:
-        return None
-    lo, hi = rx, 2.0 * rx
-    for _ in range(24):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if radii(mid) else (lo, mid)
-    rx, ry = radii(lo)
-    return iv.down(rx), iv.down(ry)
-
-
-def _basin_rows(p: Params, xs, ys, max_iter: int, tol: float, box, row_a: int,
+def _basin_rows(p: Params, xs, ys, max_iter: int, tol: float, row_a: int,
                 row_b: int):
     """Codes of lattice rows row_a..row_b-1 (module-level, so it pickles)."""
     import numpy as np
     gx, gy = np.meshgrid(xs, ys[row_a:row_b])
-    got, _, _, _ = _classify(p, gx.ravel(), gy.ravel(), max_iter, tol, box)
+    got, _, _, _ = classify_batch(p, gx.ravel(), gy.ravel(), max_iter, tol)
     return got.reshape(row_b - row_a, len(xs))
 
 
@@ -458,26 +374,35 @@ def basin_raster(p: Params, grid_n: int, max_iter: int, tol: float) -> BasinRast
 
     Row index follows y, column index follows x, both ascending from 0, so
     codes[i, j] is the limit class of the initial point (xs[j], ys[i]).
-    Above the threshold, a lane that enters the `_contraction_box` built
-    once per call stops there with code 1, which every orbit inside the box
-    earns; elsewhere, and where no box is certified, `classify_batch`'s rule
-    decides.  So the codes equal that rule's wherever it decides a lane
-    within max_iter, and a lane whose budget runs out inside the box gets 1,
-    not 3.  Rows are cut into deterministic pieces, at most MOSQDYN_THREADS
-    of them (no other work reads it); `map_chunks` runs each piece in its
-    own process, narrow scalar-loop pieces and wide vector-loop pieces
-    alike, and the blocks are stacked in row order.  The codes are the same
-    bytes for every piece width and worker count.
+    Where the positive fixed point exists and `order_sandwich` proves its
+    attraction, every code is 1 except the origin's 0, with no step run:
+    every other lattice point is positive, or on an axis and positive
+    within two steps, so its orbit converges to that fixed point.  These
+    codes equal `classify_batch`'s wherever its rule reaches a true verdict;
+    where the rule runs out of budget, stops near the repelling origin or
+    stops near both fixed points, they hold the proven limit instead.
+    Elsewhere (on or below the threshold) that rule decides each
+    lattice point: rows are cut into deterministic pieces, at most
+    MOSQDYN_THREADS of them, `map_chunks` runs each piece in its own
+    process, and the blocks are stacked in row order, the same bytes for
+    every piece width and worker count.  MOSQDYN_THREADS is read and
+    checked on every call.
     """
     import numpy as np
     require_w0(p)
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")
     fps, near = _stopping_rule(p, tol, max_iter)
+    _sampling.thread_count()  # refuses a bad MOSQDYN_THREADS on either route
     b = omega_bounds(p)
+    if not (math.isfinite(b.x_max) and math.isfinite(b.y_max)):
+        raise DomainError("starts must be finite")
     xs = np.linspace(0.0, b.x_max, grid_n)
     ys = np.linspace(0.0, b.y_max, grid_n)
-    box = _contraction_box(p, fps, near)
-    work = functools.partial(_basin_rows, p, xs, ys, max_iter, tol, box)
-    codes = np.concatenate(_sampling.map_chunks(work, grid_n))  # rows in order
+    if len(fps) > 1 and order_sandwich(p) is not None:
+        codes = np.ones((grid_n, grid_n), dtype=np.int8)
+        codes[0, 0] = int(OmegaLimitClass.CONVERGED_TO_ORIGIN)
+    else:
+        work = functools.partial(_basin_rows, p, xs, ys, max_iter, tol)
+        codes = np.concatenate(_sampling.map_chunks(work, grid_n))  # rows in order
     return BasinRaster(xs=xs, ys=ys, codes=codes)

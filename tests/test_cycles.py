@@ -25,7 +25,7 @@ from mosqdyn.cycles import (
     _reduced_quadratic_routes,
     _shifted_quadratic_routes,
 )
-from mosqdyn.equilibria import beta_vs_threshold
+from mosqdyn.equilibria import beta_vs_threshold, order_sandwich
 from mosqdyn.errors import BranchError, CertificateFailure, RegimeError
 
 
@@ -313,9 +313,9 @@ class TestBruteForceSearch:
         up, down = (validate_params(0.5, math.nextafter(2.0, b), 1.0, 0.5, 0.0)
                     for b in (3.0, 1.0))
         assert beta_vs_threshold(up) == beta_vs_threshold(down) == 0
-        assert cycles._at_or_below_threshold(self.CORNER)
-        assert cycles._at_or_below_threshold(down)
-        assert not cycles._at_or_below_threshold(up)
+        assert order_sandwich(self.CORNER) is None
+        assert order_sandwich(down) is None
+        assert order_sandwich(up) is not None
 
     def test_rejects_unsupported_period(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ small size.  After an intended output change, regenerate a file with
 ``python -m mosqdyn <argv> > tests/golden/<file>``, using the argv below.
 The SUBSTITUTED files pin failing reports: they hold the stdout of the same
 call made in-process with the listed substitution applied.  WIDE_BASIN pins
-a raster wide enough for the vector orbit loop, ORBITS pins whole stride-1
+a raster wide enough for the vector orbit loop (below the threshold) and its
+proof-decided counterpart above it, ORBITS pins whole stride-1
 orbits in both formats (tests/golden/simulate_orbit_<name>.<ext>), and
 NEAR_CORNER_CYCLES pins a search that lists cycles (exit status 1).
 """
@@ -77,20 +78,39 @@ def test_stdout_matches_golden_bytes(filename, argv, capsys):
     assert out == (GOLDEN / filename).read_bytes()
 
 
-#: The only golden raster wide enough (72 x 72 = 5,184 lanes) for the vector
-#: loop; the grid-6 rasters run the scalar loop alone.
-WIDE_BASIN = ("basin_p0_wide.csv",
-              ["basin", *TUPLES["p0"], "--grid-n", "72", "--max-iter", "300"])
+#: Rasters of 72 x 72 = 5,184 lanes.  Below the threshold the lanes stop at
+#: 39 distinct steps from 0 to 160, so the vector loop compacts its lanes in
+#: every row piece of 1 to 3 workers and, in one piece, hands its last 7 lanes
+#: to the scalar loop; above it the order sandwich decides every cell without
+#: a step.  The grid-6 rasters run
+#: the scalar loop alone.
+WIDE_BASIN = {
+    name: (f"basin_{name}_wide.csv",
+           ["basin", *TUPLES[name], "--grid-n", "72", "--max-iter", "300"])
+    for name in ("p0", "below")
+}
+
+WORKERS = pytest.mark.parametrize("workers", [None, "2", "3"],
+                                  ids=["threads_unset", "threads_2", "threads_3"])
 
 
-@pytest.mark.parametrize("workers", [None, "2"], ids=["threads_unset", "threads_2"])
-def test_wide_basin_matches_golden_bytes(workers, monkeypatch, capsys):
+def _wide_basin_matches_golden_bytes(name, workers, monkeypatch, capsys):
     monkeypatch.delenv("MOSQDYN_THREADS", raising=False)
     if workers is not None:
         monkeypatch.setenv("MOSQDYN_THREADS", workers)
-    filename, argv = WIDE_BASIN
+    filename, argv = WIDE_BASIN[name]
     assert main(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / filename).read_bytes()
+
+
+@WORKERS
+def test_wide_basin_matches_golden_bytes(workers, monkeypatch, capsys):
+    _wide_basin_matches_golden_bytes("p0", workers, monkeypatch, capsys)
+
+
+@WORKERS
+def test_wide_below_threshold_basin_matches_golden_bytes(workers, monkeypatch, capsys):
+    _wide_basin_matches_golden_bytes("below", workers, monkeypatch, capsys)
 
 
 #: The only golden cycles report that lists cycles, so the only one that pins

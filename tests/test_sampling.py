@@ -120,9 +120,12 @@ class TestMapChunks:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_basin_imports_no_pool(self, workers):
+        # P0 is decided by the proof; below the threshold the rule runs in
+        # row pieces
         code = ("import sys, mosqdyn.cli; "
-                "mosqdyn.cli.main(['basin', '--alpha', '0.5', '--beta', '2.0', "
-                "'--mu', '0.8', '--d0', '0.3', '--grid-n', '6']); "
+                "[mosqdyn.cli.main(['basin', '--alpha', '0.5', '--beta', beta, "
+                "'--mu', '0.8', '--d0', '0.3', '--grid-n', '6']) "
+                "for beta in ('2.0', '1.0')]; "
                 "print(sorted(m for m in sys.modules "
                 "if m.startswith(('concurrent', 'multiprocessing'))))")
         # the child imports the same mosqdyn as this process, installed or not
@@ -132,5 +135,6 @@ class TestMapChunks:
             filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True).stdout
-        assert out.splitlines()[0] == "0,1,1,1,1,1"
-        assert out.splitlines()[-1] == "[]"
+        lines = out.splitlines()
+        assert lines[0] == "0,1,1,1,1,1" and lines[6:12] == ["0,0,0,0,0,0"] * 6
+        assert lines[-1] == "[]"

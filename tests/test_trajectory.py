@@ -21,7 +21,7 @@ from mosqdyn import (
 from mosqdyn import trajectory
 from mosqdyn.cli import main
 from mosqdyn.core import CLAMP_TOL, _clamp, step_w0_raw
-from mosqdyn.equilibria import beta_vs_threshold
+from mosqdyn.equilibria import beta_vs_threshold, order_sandwich
 from mosqdyn.errors import DomainError, UsageError
 from mosqdyn.geometry import _region_in
 from mosqdyn.trajectory import (
@@ -315,6 +315,8 @@ class TestClassifyBatch:
                 assert float(fy[i]) == rep.final.y
 
 
+#: The golden files' tuple below the threshold.
+P_BELOW = validate_params(0.5, 1.0, 0.8, 0.3)
 #: Above the threshold with x* about 0.8 and y* about 8; its orbits take
 #: thousands of steps to settle.
 P_SLOW = validate_params(0.9, 0.06, 0.05, 0.1)
@@ -342,14 +344,13 @@ def _lanes(case, width, rng):
 
 
 #: Wide batches whose lanes stop over many steps, so that the vector loop
-#: compacts its live lanes several times: (p, max_iter, tol, with the box).
+#: compacts its live lanes several times: (p, max_iter, tol).
 COMPACTING = {
-    "p0_box": (P0, 20_000, 1e-8, True),
-    "p0": (P0, 20_000, 1e-8, False),
-    "threshold": (P_BOUNDARY, 20_000, 1e-3, False),
+    "p0": (P0, 20_000, 1e-8),
+    "threshold": (P_BOUNDARY, 20_000, 1e-3),
     # P0 lanes stop from step 109 on: the budget runs out after three
     # compactions, with more lanes live than the scalar loop takes
-    "budget": (P0, 118, 1e-8, False),
+    "budget": (P0, 118, 1e-8),
 }
 
 
@@ -417,18 +418,17 @@ class TestClassifyBatchWidths:
     @pytest.mark.parametrize("width", [4096, 20_000])
     @pytest.mark.parametrize("case", list(COMPACTING))
     def test_compacted_lanes_match_the_lane_loop(self, case, width):
-        p, max_iter, tol, boxed = COMPACTING[case]
+        p, max_iter, tol = COMPACTING[case]
         xs, ys = sample_omega_points(p, make_rng(width), width)
         fps, near = trajectory._stopping_rule(p, tol, max_iter)
-        box = trajectory._contraction_box(p, fps, near) if boxed else None
-        got = trajectory._classify(p, xs, ys, max_iter, tol, box)
+        got = classify_batch(p, xs, ys, max_iter, tol)
         compactions, live = _compactions(got[1], max_iter)
         assert compactions >= 3
         assert (live > NARROW_LANES) == (case == "budget")
         want = [np.empty(width, dtype=a.dtype) for a in got]
         for i in range(width):
             hit, want[1][i], want[2][i], want[3][i], _ = trajectory._run_lane(
-                p, float(xs[i]), float(ys[i]), max_iter, tol, fps, near, max_iter, box)
+                p, float(xs[i]), float(ys[i]), max_iter, tol, fps, near, max_iter)
             want[0][i] = OmegaLimitClass.UNDETERMINED if hit is None else hit
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
@@ -442,6 +442,7 @@ _STAR = regime_quantities(P_SLOW)
 _X_SLOW, _Y_SLOW = _STAR.x_star, _STAR.y_star
 _POS = OmegaLimitClass.CONVERGED_TO_POSITIVE_FIXED_POINT
 _ORIGIN = OmegaLimitClass.CONVERGED_TO_ORIGIN
+_UNDETERMINED = OmegaLimitClass.UNDETERMINED
 #: (p, x0, y0, iterations, limit): each tie and the start one ulp farther out.
 NEAR_TIES = {
     "y_star_plus": (P_SLOW, _X_SLOW, _Y_SLOW + NEAR, 0, _POS),
@@ -689,6 +690,12 @@ class TestBasinRaster:
             codes[1:] == int(OmegaLimitClass.CONVERGED_TO_POSITIVE_FIXED_POINT)
         )
 
+    def test_rectangle_that_overflows_is_refused(self):
+        # x_max = alpha*beta/(mu*d0) is inf, so no lattice can be laid out
+        p = validate_params(0.5, 1e300, 1e-5, 1e-5)
+        with pytest.raises(DomainError, match="finite"):
+            basin_raster(p, 3, 10, 1e-8)
+
     def test_boundary_grid_converges_to_origin_everywhere(self):
         raster = basin_raster(P_BOUNDARY, 8, 2 * 10**6, 1e-5)
         assert np.all(raster.codes == int(OmegaLimitClass.CONVERGED_TO_ORIGIN))
@@ -699,12 +706,13 @@ class TestBasinRaster:
     @pytest.mark.parametrize("workers", ["2", "3", "4"])
     @pytest.mark.parametrize("grid_n", [12, 40])
     def test_thread_count_does_not_change_raster(self, monkeypatch, grid_n, workers):
-        monkeypatch.delenv("MOSQDYN_THREADS", raising=False)
-        base = basin_raster(P0, grid_n, 10**5, 1e-8)
-        monkeypatch.setenv("MOSQDYN_THREADS", workers)
-        threaded = basin_raster(P0, grid_n, 10**5, 1e-8)
-        assert threaded.codes.dtype == np.int8
-        assert np.array_equal(base.codes, threaded.codes)
+        for p in (P0, P_BELOW):  # decided by the proof, and by the rule in pieces
+            monkeypatch.delenv("MOSQDYN_THREADS", raising=False)
+            base = basin_raster(p, grid_n, 10**5, 1e-8)
+            monkeypatch.setenv("MOSQDYN_THREADS", workers)
+            threaded = basin_raster(p, grid_n, 10**5, 1e-8)
+            assert threaded.codes.dtype == base.codes.dtype == np.int8
+            assert np.array_equal(base.codes, threaded.codes)
 
     def test_reads_thread_env(self, monkeypatch):
         monkeypatch.setenv("MOSQDYN_THREADS", "zero")
@@ -720,39 +728,11 @@ class TestBasinRaster:
         assert int(iters[0]) == 0
 
 
-def _box(p, tol=1e-8):
-    """`_contraction_box` of p at the near radius of tol."""
-    return trajectory._contraction_box(p, *trajectory._stopping_rule(p, tol, 1))
-
-
-def _exact_box_check(p, box, tol=1e-8):
-    """The box's certificate, redone in exact rational arithmetic."""
-    rq = regime_quantities(p)
-    cx, cy = Fraction(rq.x_star), Fraction(rq.y_star)
-    rx, ry = (Fraction(math.nextafter(r, math.inf)) for r in box)  # half-widths of B
+def _exact_step(p, x, y):
+    """One step of the restricted map in `Fraction`s."""
     alpha, beta, mu, d0 = map(Fraction, (p.alpha, p.beta, p.mu, p.d0))
-    x_lo, x_hi = max(Fraction(0), cx - rx), cx + rx
-    # on B and the quadrant, J11 rises with x and J21 falls
-    m11 = max(abs(1 - d0 - alpha / (1 + x) ** 2) for x in (x_lo, x_hi))
-    m21 = alpha / (1 + x_lo) ** 2
-    em = alpha * cx / (1 + cx)
-    dx, dy = abs(beta * cy - em - d0 * cx), abs(em - mu * cy)  # |W(c) - c|
-    assert m11 * rx + beta * ry + dx < rx
-    assert m21 * rx + (1 - mu) * ry + dy < ry
-    near = Fraction(trajectory.NEAR_FACTOR * tol)
-    assert cx - rx > near or cy - ry > near  # misses the origin's near square
-    assert min(box) >= near  # holds the near square of (x*, y*)
-
-
-def _edge_floats(c, r):
-    """Floats from two ulps inside to two ulps outside each computed edge c +- r."""
-    out = []
-    for edge, inward in ((c + r, -math.inf), (c - r, math.inf)):
-        v = math.nextafter(math.nextafter(edge, inward), inward)
-        for _ in range(5):
-            out.append(v)
-            v = math.nextafter(v, -inward)
-    return [v for v in out if v >= 0.0]  # lanes stay in the quadrant
+    em = alpha * x / (1 + x)
+    return beta * y - em - d0 * x + x, em - mu * y + y
 
 
 def _log_domain_params(rng):
@@ -770,66 +750,96 @@ def _log_domain_params(rng):
 
 #: beta 4e-10 above a threshold of 1.45e-3 in relative terms.
 P_NEAR_THRESHOLD = validate_params(0.5, 1.45e-3 * (1.0 + 4e-10), 1e-3, 0.225)
-#: x* about 1.3e8: J21 at x* underflows the y half-width of any box.
+#: x* about 1.3e8.
 P_HUGE_STAR = validate_params(0.006741288187734768, 273.53443603038295,
                               0.8299343699704457, 1.6970538949649012e-08)
 
 
-class TestContractionBox:
-    """The certified box of `basin_raster`, checked with `Fraction`s."""
+#: One ulp above the threshold 2 on the corner mu = 1, alpha + d0 = 1.
+P_CORNER_UP = validate_params(0.5, math.nextafter(2.0, 3.0), 1.0, 0.5)
 
-    def test_reference_box(self):
-        box = _box(P0)
-        _exact_box_check(P0, box)
-        assert box[0] > 0.5 and box[1] > 0.1  # x in [0.89, 2.11] at P0
 
-    def test_sampled_boxes_hold_exactly(self):
+class TestOrderSandwich:
+    """`order_sandwich`, checked in `Fraction`s."""
+
+    @staticmethod
+    def _check(p):
+        eps0, v, hi = order_sandwich(p)
+        assert eps0 > 0 and v[0] == 1 and v[1] > 0
+        for eps in (eps0, eps0 / 2, eps0 / 10**6):
+            lo = eps * v[0], eps * v[1]
+            x, y = _exact_step(p, *lo)
+            assert x >= lo[0] and y >= lo[1]  # F(lo) >= lo
+        x, y = _exact_step(p, *hi)
+        assert x <= hi[0] and y <= hi[1]  # F(hi) <= hi
+        # the exact positive fixed point lies in [lo(eps0), hi]
+        alpha, beta, mu, d0 = map(Fraction, (p.alpha, p.beta, p.mu, p.d0))
+        xs = alpha * (beta - mu) / (mu * d0) - 1
+        ys = (alpha * (beta - mu) - mu * d0) / (mu * (beta - mu))
+        assert _exact_step(p, xs, ys) == (xs, ys)
+        assert eps0 * v[0] <= xs <= hi[0] and eps0 * v[1] <= ys <= hi[1]
+
+    def test_sampled_tuples(self):
         rng = make_rng(96)
         for _ in range(40):
-            p = sample_w0_params(rng, "above")
-            _exact_box_check(p, _box(p))
+            self._check(sample_w0_params(rng, "above"))
 
-    def test_log_domain_gives_a_box_or_none_and_never_raises(self):
+    def test_log_domain_and_extreme_tuples(self):
         rng = make_rng(98)
+        for p in [P0, P_SLOW, P_NEAR_THRESHOLD, P_HUGE_STAR, P_CORNER_UP] + [
+                _log_domain_params(rng) for _ in range(400)]:
+            self._check(p)
+
+    # t = 0.5*(1 + 0.5/0.5) = 1 and t = 1*(1 + 0.5/0.5) = 2 exactly
+    @pytest.mark.parametrize("p", [P_SLOW_BELOW, validate_params(0.5, 1.0, 0.5, 0.5),
+                                   validate_params(0.5, 2.0, 1.0, 0.5)],
+                             ids=["below", "equal", "corner"])
+    def test_none_at_or_below_the_threshold(self, p):
+        assert order_sandwich(p) is None
+
+    def test_exact_above_the_band_on_the_threshold(self):
+        # beta is the float above mu*(1 + d0/alpha): exactly above it, inside
+        # beta_vs_threshold's band, so there is no positive fixed point and
+        # basin_raster keeps the stopping rule
+        assert order_sandwich(P_BOUNDARY) is not None
+        assert regime_quantities(P_BOUNDARY).x_star is None
+
+    @pytest.mark.parametrize("p", [P0, P_SLOW, P_CORNER_UP, P_HUGE_STAR],
+                             ids=["p0", "slow", "corner_up", "huge_star"])
+    def test_axis_lattice_cells_turn_positive_within_two_steps(self, p):
+        raster = basin_raster(p, 6, 1, 1e-8)
+        starts = [(x, 0.0) for x in raster.xs[1:]] + [(0.0, y) for y in raster.ys[1:]]
+        for x0, y0 in starts:
+            x, y = Fraction(x0), Fraction(y0)
+            for _ in range(2):
+                x, y = _exact_step(p, x, y)
+            assert x > 0 and y > 0
+
+    def test_positive_fixed_point_implies_the_exact_test(self):
+        # beta within 1e-14 to 1e-10 of the threshold, relative, on both
+        # sides, so about half the tuples above it fall in beta_vs_threshold's
+        # band of 1e-12: wherever the float regime finds x*, beta > t exactly
+        rng = make_rng(95)
         found = 0
-        for p in [P_NEAR_THRESHOLD, P_HUGE_STAR] + [_log_domain_params(rng)
-                                                    for _ in range(400)]:
-            box = _box(p)
-            if box is not None:
-                assert type(box) is tuple and len(box) == 2
-                assert all(type(r) is float for r in box)
-                _exact_box_check(p, box)
+        for _ in range(2000):
+            q = _log_domain_params(rng)
+            t = q.mu * (1.0 + q.d0 / q.alpha)
+            sign = 1.0 if rng.uniform() < 0.5 else -1.0
+            rel = sign * 10.0 ** rng.uniform(-14.0, -10.0)
+            p = validate_params(q.alpha, t * (1.0 + rel), q.mu, q.d0)
+            if regime_quantities(p).x_star is not None:
                 found += 1
-        assert found > 100
-
-    @pytest.mark.parametrize("p", [P_BOUNDARY, P_SLOW_BELOW], ids=["at", "below"])
-    def test_no_box_without_a_positive_fixed_point(self, p):
-        assert _box(p) is None
-
-    def test_no_box_smaller_than_the_near_square(self):
-        assert _box(P_HUGE_STAR) is None
-        assert _box(P0, tol=1.0) is None  # near = 10 exceeds any box at P0
-
-    @pytest.mark.parametrize("case", ["p0", "sampled", "slow"])
-    def test_float_membership_implies_exact_membership(self, case):
-        p = _lanes(case, 1, make_rng(99))[0]
-        box = _box(p)
-        rq = regime_quantities(p)
-        for c, r in ((rq.x_star, box[0]), (rq.y_star, box[1])):
-            edge = _edge_floats(c, r)
-            passing = [v for v in edge if abs(v - c) <= r]
-            assert passing and len(passing) < len(edge)  # both sides of the edge
-            bound = Fraction(math.nextafter(r, math.inf))
-            for v in passing:
-                assert abs(Fraction(v) - Fraction(c)) < bound
+                assert order_sandwich(p) is not None
+        assert found > 300
 
 
 class TestBoxRaster:
-    """`basin_raster` stops lanes in the box; `classify_batch` keeps the rule."""
+    """Above the threshold `basin_raster` takes its codes from the order
+    sandwich; `classify_batch` keeps the stopping rule, the second route."""
 
-    # grid 6 runs the scalar loop alone, also in two pieces; grid 20 runs
-    # the vector loop, also in two pieces of 200 lanes; grid 64 compacts
-    # the vector loop's lanes, also in three uneven pieces
+    # the rule runs the scalar loop alone at grid 6, the vector loop at grid
+    # 20, and compacts the vector loop's lanes at grid 64; the raster reads
+    # MOSQDYN_THREADS but runs neither
     @pytest.mark.parametrize("workers", [None, "2", "3"],
                              ids=["threads_unset", "threads_2", "threads_3"])
     @pytest.mark.parametrize("grid_n", [6, 20, 64])
@@ -840,7 +850,7 @@ class TestBoxRaster:
             monkeypatch.setenv("MOSQDYN_THREADS", workers)
         rng = make_rng(97)
         for p in [P0, P_SLOW] + [sample_w0_params(rng, "above") for _ in range(4)]:
-            assert _box(p) is not None
+            assert regime_quantities(p).x_star is not None
             raster = basin_raster(p, grid_n, 2000, 1e-8)
             gx, gy = np.meshgrid(raster.xs, raster.ys)
             want, _, _, _ = classify_batch(p, gx, gy, 2000, 1e-8)
@@ -849,7 +859,7 @@ class TestBoxRaster:
 
     def test_budget_exhausted_lanes_in_the_box_get_code_1(self, capsys):
         # at P0 every lane but the origin needs more than 50 steps to meet
-        # the stopping rule, and reaches the box well within them
+        # the stopping rule; the proof needs none
         argv = ["basin", "--alpha", "0.5", "--beta", "2.0", "--mu", "0.8",
                 "--d0", "0.3", "--grid-n", "6", "--max-iter", "50"]
         assert main(argv) == 0
@@ -859,6 +869,30 @@ class TestBoxRaster:
         gx, gy = np.meshgrid(raster.xs, raster.ys)
         want, _, _, _ = classify_batch(P0, gx, gy, 50, 1e-8)
         assert np.count_nonzero(want == int(OmegaLimitClass.UNDETERMINED)) == 35
+
+    #: P0 grid 6 flags -> (cells the rule leaves at 3, cells other than the
+    #: origin it sends to 0).  The budget runs out, a lane near the repelling
+    #: origin stops there, or at tol 1 every lane is near both fixed points.
+    RULE_MISSES = {"max_iter_1": (["--max-iter", "1"], 35, 0),
+                   "tol_0.03": (["--tol", "0.03"], 0, 1),
+                   "tol_0.1": (["--tol", "0.1"], 7, 2),
+                   "tol_1": (["--tol", "1"], 36, 0)}
+
+    @pytest.mark.parametrize("case", list(RULE_MISSES))
+    def test_cells_the_rule_misses_read_the_proven_limit(self, case, capsys):
+        flags, undetermined, false_origin = self.RULE_MISSES[case]
+        argv = ["basin", "--alpha", "0.5", "--beta", "2.0", "--mu", "0.8",
+                "--d0", "0.3", "--grid-n", "6", *flags]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "0,1,1,1,1,1" and all(r == "1,1,1,1,1,1" for r in rows[1:])
+        max_iter = int(flags[1]) if flags[0] == "--max-iter" else 10**6
+        tol = float(flags[1]) if flags[0] == "--tol" else 1e-8
+        raster = basin_raster(P0, 6, max_iter, tol)
+        gx, gy = np.meshgrid(raster.xs, raster.ys)
+        want = classify_batch(P0, gx, gy, max_iter, tol)[0].ravel()
+        assert np.count_nonzero(want == int(_UNDETERMINED)) == undetermined
+        assert np.count_nonzero(want[1:] == int(_ORIGIN)) == false_origin
 
     def test_wide_batch_hands_its_last_lanes_to_the_lane_loop(self, monkeypatch):
         calls = []
