@@ -3,9 +3,10 @@
 Philox is a counter-based generator: a stream keyed by (seed, stream ids)
 yields the same draws no matter what other streams were consumed before it,
 which keeps sampled experiments reproducible.  MOSQDYN_THREADS caps only
-the row fan-out of basin rasters at or below the threshold (`map_chunks`:
-children forked straight from the caller, with no pool, so every piece runs
-in parallel, whatever its loop); sampled checks never fan out.
+the row fan-out of the basin rasters that no proof decides, on the
+threshold's band at a tol below its fixed point (`map_chunks`: children
+forked straight from the caller, with no pool, so every piece runs in
+parallel, whatever its loop); sampled checks never fan out.
 
 `generator` and `map_chunks` import numpy inside, as every array path of
 the package does, so that `equilibria` and `sweep`, which work on floats

@@ -174,6 +174,10 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         regime_quantities(ns.params)
     except DomainError as e:
         raise UsageError(f"--beta/--mu/--d0: {e}") from None
+    den = ns.mu * ns.d0  # `omega_bounds` puts the corner at alpha*beta/den
+    if den == 0.0 or not math.isfinite(ns.alpha * ns.beta / den):
+        raise UsageError("--alpha/--beta/--mu/--d0: the trapping rectangle's corner "
+                         "alpha*beta/(mu*d0) overflows")
 
     if ns.subcommand == "simulate":
         if ns.x0 is None or ns.y0 is None:

@@ -142,6 +142,28 @@ def order_sandwich(p: Params):
     return beta / t - 1, (Fraction(1), (alpha + d0) / beta), (beta * y / d0, y)
 
 
+def settles_near_origin(p: Params, near: float) -> bool:
+    """True when every orbit provably ends with max(x, y) < near, in `Fraction`s.
+
+    If beta <= t, the threshold, the origin is the only fixed point, and
+    every hi = (beta*Y/d0, Y) with Y >= alpha/mu has F(hi) <= hi: x' - x =
+    -alpha*x/(1 + x) and y' - Y <= alpha - mu*Y.  Every start lies below
+    some hi, so its orbit lies between 0 and the falling F^n(hi), which
+    converges to the origin.  If beta > t, every orbit but the origin's
+    converges to the positive fixed point (`order_sandwich`), so it must
+    have max(x*, y*) < near.
+    """
+    require_w0(p)
+    from fractions import Fraction
+
+    alpha, beta, mu, d0 = map(Fraction, (p.alpha, p.beta, p.mu, p.d0))
+    if beta <= mu * (1 + d0 / alpha):
+        return True
+    x_star = alpha * (beta - mu) / (mu * d0) - 1
+    y_star = (alpha * (beta - mu) - mu * d0) / (mu * (beta - mu))
+    return max(x_star, y_star) < near
+
+
 def jacobian_entries(p: Params, x):
     """Row-major Jacobian entries at larvae density x (scalar or array)."""
     s = (1.0 + x) * (1.0 + x)

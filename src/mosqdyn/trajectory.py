@@ -8,9 +8,10 @@ The iterator detects convergence numerically (step size below tol while
 sitting within NEAR_FACTOR*tol of a known fixed point) and otherwise
 reports its budget ran out.  Undetermined is a first-class outcome, never
 coerced: it is also the answer when the point sits that near to both fixed
-points at once.  Above the threshold, basin rasters take their codes from
-the exact order sandwich (`equilibria.order_sandwich`) instead, without a
-step.
+points at once.  Basin rasters take their codes from exact proofs instead,
+without a step, wherever one holds: the order sandwich above the threshold
+(`equilibria.order_sandwich`), and `equilibria.settles_near_origin` on and
+below it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,12 @@ from .core import (
     step_w0,
     step_w0_into,
 )
-from .equilibria import beta_vs_threshold, order_sandwich, regime_quantities
+from .equilibria import (
+    beta_vs_threshold,
+    order_sandwich,
+    regime_quantities,
+    settles_near_origin,
+)
 from .errors import DomainError
 from .geometry import RegionLabel, _region_codes, omega_bounds
 
@@ -381,7 +387,10 @@ def basin_raster(p: Params, grid_n: int, max_iter: int, tol: float) -> BasinRast
     codes equal `classify_batch`'s wherever its rule reaches a true verdict;
     where the rule runs out of budget, stops near the repelling origin or
     stops near both fixed points, they hold the proven limit instead.
-    Elsewhere (on or below the threshold) that rule decides each
+    Without a positive fixed point, where `settles_near_origin` proves that
+    every orbit ends within the near radius of the origin, every code is 0,
+    again with no step.  Only the rest (the threshold's band at a tol below
+    its fixed point) runs that rule on each
     lattice point: rows are cut into deterministic pieces, at most
     MOSQDYN_THREADS of them, `map_chunks` runs each piece in its own
     process, and the blocks are stacked in row order, the same bytes for
@@ -402,6 +411,8 @@ def basin_raster(p: Params, grid_n: int, max_iter: int, tol: float) -> BasinRast
     if len(fps) > 1 and order_sandwich(p) is not None:
         codes = np.ones((grid_n, grid_n), dtype=np.int8)
         codes[0, 0] = int(OmegaLimitClass.CONVERGED_TO_ORIGIN)
+    elif len(fps) == 1 and settles_near_origin(p, near):
+        codes = np.zeros((grid_n, grid_n), dtype=np.int8)
     else:
         work = functools.partial(_basin_rows, p, xs, ys, max_iter, tol)
         codes = np.concatenate(_sampling.map_chunks(work, grid_n))  # rows in order

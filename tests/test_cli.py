@@ -414,6 +414,24 @@ class TestDeterminismAndExitCodes:
         assert len(lines) == 1 and lines[0].startswith("mosqdyn: error: --beta")
         assert "underflow" in lines[0]
 
+    # alpha*beta/(mu*d0) overflows to inf, or mu*d0 underflows to 0 with beta
+    # below the threshold, where no fixed point needs it
+    @pytest.mark.parametrize("rates", [
+        ["--beta", "1e300", "--mu", "1e-5", "--d0", "1e-5"],
+        ["--beta", "1e-300", "--mu", "1e-200", "--d0", "1e-200"],
+    ], ids=["overflow", "zero_denominator"])
+    @pytest.mark.parametrize("extra", [["simulate", "--x0", "1", "--y0", "1"],
+                                       ["equilibria"], ["verify"], ["cycles"],
+                                       ["basin"], ["sweep"]],
+                             ids=lambda extra: extra[0])
+    def test_rectangle_that_overflows_exits_two(self, capsys, extra, rates):
+        assert main([*extra, "--alpha", "0.5", *rates]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("mosqdyn: error: --alpha/--beta/--mu/--d0: the "
+                                "trapping rectangle's corner alpha*beta/(mu*d0) "
+                                "overflows\n")
+
     def test_invalid_thread_env_exits_two(self, monkeypatch, capsys):
         monkeypatch.setenv("MOSQDYN_THREADS", "zero")
         assert main(["verify", *P0_FLAGS, "--samples", "100"]) == 2

@@ -5,10 +5,11 @@ small size.  After an intended output change, regenerate a file with
 ``python -m mosqdyn <argv> > tests/golden/<file>``, using the argv below.
 The SUBSTITUTED files pin failing reports: they hold the stdout of the same
 call made in-process with the listed substitution applied.  WIDE_BASIN pins
-a raster wide enough for the vector orbit loop (below the threshold) and its
-proof-decided counterpart above it, ORBITS pins whole stride-1
-orbits in both formats (tests/golden/simulate_orbit_<name>.<ext>), and
-NEAR_CORNER_CYCLES pins a search that lists cycles (exit status 1).
+a raster wide enough for the vector orbit loop (on the threshold, at a tol
+below its band tuple's fixed point) and its proof-decided counterparts above
+and below the threshold, ORBITS pins whole stride-1 orbits in both formats
+(tests/golden/simulate_orbit_<name>.<ext>), and NEAR_CORNER_CYCLES pins a
+search that lists cycles (exit status 1).
 """
 
 from pathlib import Path
@@ -78,16 +79,18 @@ def test_stdout_matches_golden_bytes(filename, argv, capsys):
     assert out == (GOLDEN / filename).read_bytes()
 
 
-#: Rasters of 72 x 72 = 5,184 lanes.  Below the threshold the lanes stop at
-#: 39 distinct steps from 0 to 160, so the vector loop compacts its lanes in
-#: every row piece of 1 to 3 workers and, in one piece, hands its last 7 lanes
-#: to the scalar loop; above it the order sandwich decides every cell without
-#: a step.  The grid-6 rasters run
-#: the scalar loop alone.
+#: Rasters of 72 x 72 = 5,184 lanes.  Above the threshold the order sandwich
+#: decides every cell without a step, and below it `settles_near_origin`
+#: does, as on the threshold at the golden files' tol.  At tol 1e-17 the band
+#: tuple's exact fixed point, about (4.1e-16, 2.5e-16), lies beyond the near
+#: radius 1e-16, so the vector loop runs in every row piece of 1 to 3
+#: workers: the origin stops at step 0 and every other lane uses the whole
+#: budget.  The grid-6 rasters run no step.
 WIDE_BASIN = {
     name: (f"basin_{name}_wide.csv",
-           ["basin", *TUPLES[name], "--grid-n", "72", "--max-iter", "300"])
-    for name in ("p0", "below")
+           ["basin", *TUPLES[flags], "--grid-n", "72", "--max-iter", "300", *extra])
+    for name, flags, extra in (("p0", "p0", []), ("below", "below", []),
+                               ("band", "boundary", ["--tol", "1e-17"]))
 }
 
 WORKERS = pytest.mark.parametrize("workers", [None, "2", "3"],
@@ -111,6 +114,11 @@ def test_wide_basin_matches_golden_bytes(workers, monkeypatch, capsys):
 @WORKERS
 def test_wide_below_threshold_basin_matches_golden_bytes(workers, monkeypatch, capsys):
     _wide_basin_matches_golden_bytes("below", workers, monkeypatch, capsys)
+
+
+@WORKERS
+def test_wide_band_basin_matches_golden_bytes(workers, monkeypatch, capsys):
+    _wide_basin_matches_golden_bytes("band", workers, monkeypatch, capsys)
 
 
 #: The only golden cycles report that lists cycles, so the only one that pins

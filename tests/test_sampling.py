@@ -120,12 +120,14 @@ class TestMapChunks:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_basin_imports_no_pool(self, workers):
-        # P0 is decided by the proof; below the threshold the rule runs in
-        # row pieces
+        # P0 is decided by the proof; on the threshold at tol 1e-17 the rule
+        # runs in row pieces
         code = ("import sys, mosqdyn.cli; "
                 "[mosqdyn.cli.main(['basin', '--alpha', '0.5', '--beta', beta, "
-                "'--mu', '0.8', '--d0', '0.3', '--grid-n', '6']) "
-                "for beta in ('2.0', '1.0')]; "
+                "'--mu', '0.8', '--d0', '0.3', '--grid-n', '6', '--max-iter', "
+                "'300', '--tol', tol]) "
+                "for beta, tol in (('2.0', '1e-8'), ('1.2800000000000002', "
+                "'1e-17'))]; "
                 "print(sorted(m for m in sys.modules "
                 "if m.startswith(('concurrent', 'multiprocessing'))))")
         # the child imports the same mosqdyn as this process, installed or not
@@ -136,5 +138,6 @@ class TestMapChunks:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True).stdout
         lines = out.splitlines()
-        assert lines[0] == "0,1,1,1,1,1" and lines[6:12] == ["0,0,0,0,0,0"] * 6
+        assert lines[0] == "0,1,1,1,1,1" and lines[6] == "0,3,3,3,3,3"
+        assert lines[7:12] == ["3,3,3,3,3,3"] * 5
         assert lines[-1] == "[]"

@@ -21,7 +21,7 @@ from mosqdyn import (
 from mosqdyn import trajectory
 from mosqdyn.cli import main
 from mosqdyn.core import CLAMP_TOL, _clamp, step_w0_raw
-from mosqdyn.equilibria import beta_vs_threshold, order_sandwich
+from mosqdyn.equilibria import beta_vs_threshold, order_sandwich, settles_near_origin
 from mosqdyn.errors import DomainError, UsageError
 from mosqdyn.geometry import _region_in
 from mosqdyn.trajectory import (
@@ -706,11 +706,15 @@ class TestBasinRaster:
     @pytest.mark.parametrize("workers", ["2", "3", "4"])
     @pytest.mark.parametrize("grid_n", [12, 40])
     def test_thread_count_does_not_change_raster(self, monkeypatch, grid_n, workers):
-        for p in (P0, P_BELOW):  # decided by the proof, and by the rule in pieces
+        # P0 and P_BELOW are decided by the proofs; at tol 1e-17 the band
+        # tuple's fixed point lies beyond the near radius, so the rule runs
+        # in pieces
+        for p, max_iter, tol in ((P0, 10**5, 1e-8), (P_BELOW, 10**5, 1e-8),
+                                 (P_BOUNDARY, 300, 1e-17)):
             monkeypatch.delenv("MOSQDYN_THREADS", raising=False)
-            base = basin_raster(p, grid_n, 10**5, 1e-8)
+            base = basin_raster(p, grid_n, max_iter, tol)
             monkeypatch.setenv("MOSQDYN_THREADS", workers)
-            threaded = basin_raster(p, grid_n, 10**5, 1e-8)
+            threaded = basin_raster(p, grid_n, max_iter, tol)
             assert threaded.codes.dtype == base.codes.dtype == np.int8
             assert np.array_equal(base.codes, threaded.codes)
 
@@ -800,7 +804,7 @@ class TestOrderSandwich:
     def test_exact_above_the_band_on_the_threshold(self):
         # beta is the float above mu*(1 + d0/alpha): exactly above it, inside
         # beta_vs_threshold's band, so there is no positive fixed point and
-        # basin_raster keeps the stopping rule
+        # basin_raster asks settles_near_origin instead
         assert order_sandwich(P_BOUNDARY) is not None
         assert regime_quantities(P_BOUNDARY).x_star is None
 
@@ -915,3 +919,77 @@ class TestBoxRaster:
             assert OmegaLimitClass(int(codes[i])) is rep.limit
             assert int(iters[i]) == rep.iterations_used
             assert (float(fx[i]), float(fy[i])) == (rep.final.x, rep.final.y)
+
+
+def _origin_tuples():
+    """Tuples without a float positive fixed point: on the threshold's band
+    or below it."""
+    rng = make_rng(99)
+    return [P_BOUNDARY, P_BELOW, P_SLOW_BELOW] + [
+        sample_w0_params(rng, mode) for mode in ("at", "below") for _ in range(3)]
+
+
+class TestOriginRaster:
+    """On and below the threshold `basin_raster` reads 0 wherever
+    `settles_near_origin` holds; `classify_batch` keeps the stopping rule,
+    the second route."""
+
+    @pytest.mark.parametrize("grid_n", [6, 20, 64])
+    def test_codes_equal_the_rule_wherever_it_decides(self, grid_n):
+        decided_cells = 0
+        for p in _origin_tuples():
+            assert regime_quantities(p).x_star is None
+            raster = basin_raster(p, grid_n, 2000, 1e-5)
+            gx, gy = np.meshgrid(raster.xs, raster.ys)
+            want, _, _, _ = classify_batch(p, gx, gy, 2000, 1e-5)
+            decided = want != int(_UNDETERMINED)
+            assert np.array_equal(raster.codes[decided], want[decided])
+            assert not raster.codes.any()
+            decided_cells += np.count_nonzero(decided)
+        assert decided_cells > grid_n * grid_n  # the rule decides many cells
+
+    def test_exact_premises(self):
+        below = band = 0
+        for p in _origin_tuples():
+            alpha, beta, mu, d0 = map(Fraction, (p.alpha, p.beta, p.mu, p.d0))
+            if beta <= mu * (1 + d0 / alpha):
+                below += 1
+                for y in (alpha / mu, 2 * alpha / mu, 10**6 * alpha / mu):
+                    hi = beta * y / d0, y
+                    x1, y1 = _exact_step(p, *hi)
+                    assert x1 <= hi[0] and y1 <= hi[1]  # F(hi) <= hi
+                # a fixed point with x > 0 needs x = x* > 0, so beta > mu and
+                # alpha*(beta - mu) > mu*d0; x = 0 forces y = 0
+                assert beta <= mu or alpha * (beta - mu) <= mu * d0
+                assert settles_near_origin(p, 5e-324)
+            else:
+                band += 1
+                xs = alpha * (beta - mu) / (mu * d0) - 1
+                ys = (alpha * (beta - mu) - mu * d0) / (mu * (beta - mu))
+                assert xs > 0 and ys > 0 and _exact_step(p, xs, ys) == (xs, ys)
+                assert max(xs, ys) < trajectory.NEAR_FACTOR * 1e-5
+                assert settles_near_origin(p, trajectory.NEAR_FACTOR * 1e-5)
+                assert not settles_near_origin(p, float(max(xs, ys)) / 2)
+        assert below >= 5 and band >= 1
+
+    def test_band_tuple_runs_no_step_unless_tol_is_below_its_fixed_point(
+            self, monkeypatch, capsys):
+        # P_BOUNDARY's exact z* is about (4.07e-16, 2.54e-16): near = 10*tol
+        # holds it at tol 1e-16, not at 1e-17
+        def boom(*args):
+            raise AssertionError("the stopping rule ran")
+
+        for name in ("_run_lane", "_classify_wide"):
+            monkeypatch.setattr(trajectory, name, boom)
+        monkeypatch.setattr(trajectory._sampling, "map_chunks", boom)
+        raster = basin_raster(P_BOUNDARY, 6, 300, 1e-16)
+        assert raster.codes.dtype == np.int8 and not raster.codes.any()
+        # the proof overrides the budget, as above the threshold
+        argv = ["basin", "--alpha", "0.5", "--beta", "1.2800000000000002",
+                "--mu", "0.8", "--d0", "0.3", "--grid-n", "6"]
+        assert main([*argv, "--max-iter", "1"]) == 0
+        assert capsys.readouterr().out == "0,0,0,0,0,0\n" * 6
+        monkeypatch.undo()
+        assert main([*argv, "--max-iter", "300", "--tol", "1e-17"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows == ["0,3,3,3,3,3"] + ["3,3,3,3,3,3"] * 5
