@@ -40,7 +40,6 @@ import math
 import sys
 from dataclasses import fields, is_dataclass
 
-from . import _sampling
 from .core import Params, State, validate_params
 from .cycles import (
     RESIDUAL_TOL,
@@ -194,7 +193,6 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         if value is not None and value < least:
             raise UsageError(f"--{key.replace('_', '-')}: must be >= {least}, "
                              f"got {value}")
-    _sampling.thread_count()  # every subcommand refuses a bad MOSQDYN_THREADS
 
     if ns.format is None:
         ns.format = "csv" if ns.subcommand in _CSV else "json"

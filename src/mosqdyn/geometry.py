@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import _sampling
 from .core import Params, State, require_w0, step_w0_batch
 from .equilibria import regime_quantities
-from .errors import NotClaimedInvariantError, RegimeError
+from .errors import DomainError, NotClaimedInvariantError, RegimeError
 
 #: How far outside a region an image may land before it counts as a violation.
 CONTAINMENT_TOL = 1e-12
@@ -75,11 +75,18 @@ class InvarianceReport:
 
 
 def omega_bounds(p: Params) -> RegionBounds:
-    """Trapping-rectangle bounds; subdivision point filled when beta allows."""
+    """Trapping-rectangle bounds; subdivision point filled when beta allows.
+
+    Raises DomainError when mu*d0, the corner's denominator, underflows to 0.
+    """
     require_w0(p)
     rq = regime_quantities(p)
+    den = p.mu * p.d0
+    if den == 0.0:
+        raise DomainError("the trapping rectangle's corner alpha*beta/(mu*d0) is "
+                          "not representable: mu*d0 underflows to 0")
     return RegionBounds(
-        x_max=p.alpha * p.beta / (p.mu * p.d0),
+        x_max=p.alpha * p.beta / den,
         y_max=p.alpha / p.mu,
         x_star=rq.x_star,
         y_star=rq.y_star,

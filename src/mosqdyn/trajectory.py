@@ -17,11 +17,9 @@ below it.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
-from . import _sampling
 from .core import (
     NARROW_LANES,
     Params,
@@ -366,15 +364,6 @@ def _classify_wide(p, max_iter, tol, fps, near, codes, iters, fx, fy):
     return [], max_iter
 
 
-def _basin_rows(p: Params, xs, ys, max_iter: int, tol: float, row_a: int,
-                row_b: int):
-    """Codes of lattice rows row_a..row_b-1 (module-level, so it pickles)."""
-    import numpy as np
-    gx, gy = np.meshgrid(xs, ys[row_a:row_b])
-    got, _, _, _ = classify_batch(p, gx.ravel(), gy.ravel(), max_iter, tol)
-    return got.reshape(row_b - row_a, len(xs))
-
-
 def basin_raster(p: Params, grid_n: int, max_iter: int, tol: float) -> BasinRaster:
     """Classify a grid_n x grid_n lattice of initial points over the rectangle.
 
@@ -390,19 +379,14 @@ def basin_raster(p: Params, grid_n: int, max_iter: int, tol: float) -> BasinRast
     Without a positive fixed point, where `settles_near_origin` proves that
     every orbit ends within the near radius of the origin, every code is 0,
     again with no step.  Only the rest (the threshold's band at a tol below
-    its fixed point) runs that rule on each
-    lattice point: rows are cut into deterministic pieces, at most
-    MOSQDYN_THREADS of them, `map_chunks` runs each piece in its own
-    process, and the blocks are stacked in row order, the same bytes for
-    every piece width and worker count.  MOSQDYN_THREADS is read and
-    checked on every call.
+    its fixed point) runs that rule on every lattice point, in one
+    `classify_batch` call.
     """
     import numpy as np
     require_w0(p)
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")
     fps, near = _stopping_rule(p, tol, max_iter)
-    _sampling.thread_count()  # refuses a bad MOSQDYN_THREADS on either route
     b = omega_bounds(p)
     if not (math.isfinite(b.x_max) and math.isfinite(b.y_max)):
         raise DomainError("starts must be finite")
@@ -414,6 +398,5 @@ def basin_raster(p: Params, grid_n: int, max_iter: int, tol: float) -> BasinRast
     elif len(fps) == 1 and settles_near_origin(p, near):
         codes = np.zeros((grid_n, grid_n), dtype=np.int8)
     else:
-        work = functools.partial(_basin_rows, p, xs, ys, max_iter, tol)
-        codes = np.concatenate(_sampling.map_chunks(work, grid_n))  # rows in order
+        codes, _, _, _ = classify_batch(p, *np.meshgrid(xs, ys), max_iter, tol)
     return BasinRaster(xs=xs, ys=ys, codes=codes)

@@ -13,7 +13,7 @@ from mosqdyn import (
     validate_params,
 )
 from mosqdyn.core import step_w0_batch
-from mosqdyn.errors import NotClaimedInvariantError, RegimeError
+from mosqdyn.errors import DomainError, NotClaimedInvariantError, RegimeError
 from mosqdyn import geometry
 from mosqdyn.geometry import (
     CONTAINMENT_TOL,
@@ -53,6 +53,19 @@ class TestOmegaBounds:
 
         with pytest.raises(RegimeError):
             omega_bounds(validate_params(0.5, 2.0, 1.5, 0.3, 0.0))
+
+    def test_corner_denominator_that_underflows_is_a_domain_error(self):
+        # mu*d0 underflows to 0 with beta below the threshold, where there is
+        # no fixed point to refuse it first
+        from mosqdyn.trajectory import _orbit_columns, basin_raster
+
+        p = validate_params(0.5, 1e-300, 1e-200, 1e-200)
+        for call in (lambda: omega_bounds(p),
+                     lambda: basin_raster(p, 3, 10, 1e-8),
+                     lambda: check_invariance(p, RegionLabel.OMEGA_ONLY, 10, seed=1),
+                     lambda: _orbit_columns(p, State(1.0, 1.0), 10, 1e-8, 1)):
+            with pytest.raises(DomainError, match="mu\\*d0 underflows to 0"):
+                call()
 
 
 class TestRegionOf:
@@ -194,7 +207,7 @@ class TestCheckInvariance:
 
     def test_does_not_read_thread_env(self, monkeypatch):
         base = check_invariance(P0, RegionLabel.OMEGA_ONLY, 1_000, seed=9)
-        monkeypatch.setenv("MOSQDYN_THREADS", "zero")  # refused where it is read
+        monkeypatch.setenv("MOSQDYN_THREADS", "zero")  # nothing reads it
         assert check_invariance(P0, RegionLabel.OMEGA_ONLY, 1_000, seed=9) == base
 
 

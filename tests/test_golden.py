@@ -12,6 +12,7 @@ and below the threshold, ORBITS pins whole stride-1 orbits in both formats
 search that lists cycles (exit status 1).
 """
 
+import os
 from pathlib import Path
 
 import pytest
@@ -83,9 +84,9 @@ def test_stdout_matches_golden_bytes(filename, argv, capsys):
 #: decides every cell without a step, and below it `settles_near_origin`
 #: does, as on the threshold at the golden files' tol.  At tol 1e-17 the band
 #: tuple's exact fixed point, about (4.1e-16, 2.5e-16), lies beyond the near
-#: radius 1e-16, so the vector loop runs in every row piece of 1 to 3
-#: workers: the origin stops at step 0 and every other lane uses the whole
-#: budget.  The grid-6 rasters run no step.
+#: radius 1e-16, so the vector loop runs over the whole raster: the origin
+#: stops at step 0 and every other lane uses the whole budget.  The grid-6
+#: rasters run no step.
 WIDE_BASIN = {
     name: (f"basin_{name}_wide.csv",
            ["basin", *TUPLES[flags], "--grid-n", "72", "--max-iter", "300", *extra])
@@ -93,14 +94,22 @@ WIDE_BASIN = {
                                ("band", "boundary", ["--tol", "1e-17"]))
 }
 
-WORKERS = pytest.mark.parametrize("workers", [None, "2", "3"],
-                                  ids=["threads_unset", "threads_2", "threads_3"])
+#: Values of MOSQDYN_THREADS, which earlier versions read and which an
+#: environment may still set: none may change a byte or start a process.
+WORKERS = pytest.mark.parametrize("workers", [None, "2", "3", "zero"],
+                                  ids=["threads_unset", "threads_2", "threads_3",
+                                       "threads_zero"])
+
+
+def _refuse_fork():
+    raise AssertionError("basin forked")
 
 
 def _wide_basin_matches_golden_bytes(name, workers, monkeypatch, capsys):
     monkeypatch.delenv("MOSQDYN_THREADS", raising=False)
     if workers is not None:
         monkeypatch.setenv("MOSQDYN_THREADS", workers)
+    monkeypatch.setattr(os, "fork", _refuse_fork, raising=False)
     filename, argv = WIDE_BASIN[name]
     assert main(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / filename).read_bytes()

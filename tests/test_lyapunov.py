@@ -120,7 +120,7 @@ class TestMonotonicityReport:
 
     def test_does_not_read_thread_env(self, monkeypatch):
         base = monotonicity_report(P0, 1_000, seed=9)
-        monkeypatch.setenv("MOSQDYN_THREADS", "zero")  # refused where it is read
+        monkeypatch.setenv("MOSQDYN_THREADS", "zero")  # nothing reads it
         assert monotonicity_report(P0, 1_000, seed=9) == base
 
     def test_below_threshold_refused(self):

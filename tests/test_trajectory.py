@@ -22,7 +22,7 @@ from mosqdyn import trajectory
 from mosqdyn.cli import main
 from mosqdyn.core import CLAMP_TOL, _clamp, step_w0_raw
 from mosqdyn.equilibria import beta_vs_threshold, order_sandwich, settles_near_origin
-from mosqdyn.errors import DomainError, UsageError
+from mosqdyn.errors import DomainError
 from mosqdyn.geometry import _region_in
 from mosqdyn.trajectory import (
     NARROW_LANES,
@@ -700,15 +700,12 @@ class TestBasinRaster:
         raster = basin_raster(P_BOUNDARY, 8, 2 * 10**6, 1e-5)
         assert np.all(raster.codes == int(OmegaLimitClass.CONVERGED_TO_ORIGIN))
 
-    # grid 12 cut for 3 or 4 workers gives pieces of at most 48 lanes (the
-    # scalar loop); grid 40 gives at least 400 lanes a piece (the wide loop);
-    # 3 workers cut the rows unevenly
+    # earlier versions read MOSQDYN_THREADS; an environment may still set it
     @pytest.mark.parametrize("workers", ["2", "3", "4"])
     @pytest.mark.parametrize("grid_n", [12, 40])
     def test_thread_count_does_not_change_raster(self, monkeypatch, grid_n, workers):
         # P0 and P_BELOW are decided by the proofs; at tol 1e-17 the band
         # tuple's fixed point lies beyond the near radius, so the rule runs
-        # in pieces
         for p, max_iter, tol in ((P0, 10**5, 1e-8), (P_BELOW, 10**5, 1e-8),
                                  (P_BOUNDARY, 300, 1e-17)):
             monkeypatch.delenv("MOSQDYN_THREADS", raising=False)
@@ -717,11 +714,6 @@ class TestBasinRaster:
             threaded = basin_raster(p, grid_n, max_iter, tol)
             assert threaded.codes.dtype == base.codes.dtype == np.int8
             assert np.array_equal(base.codes, threaded.codes)
-
-    def test_reads_thread_env(self, monkeypatch):
-        monkeypatch.setenv("MOSQDYN_THREADS", "zero")
-        with pytest.raises(UsageError, match="MOSQDYN_THREADS"):
-            basin_raster(P0, 2, 100, 1e-8)
 
     def test_star_seeded_cell_classifies_positive_immediately(self):
         rq = regime_quantities(P0)
@@ -842,8 +834,8 @@ class TestBoxRaster:
     sandwich; `classify_batch` keeps the stopping rule, the second route."""
 
     # the rule runs the scalar loop alone at grid 6, the vector loop at grid
-    # 20, and compacts the vector loop's lanes at grid 64; the raster reads
-    # MOSQDYN_THREADS but runs neither
+    # 20, and compacts the vector loop's lanes at grid 64; the raster runs
+    # neither, whatever MOSQDYN_THREADS holds
     @pytest.mark.parametrize("workers", [None, "2", "3"],
                              ids=["threads_unset", "threads_2", "threads_3"])
     @pytest.mark.parametrize("grid_n", [6, 20, 64])
@@ -981,7 +973,6 @@ class TestOriginRaster:
 
         for name in ("_run_lane", "_classify_wide"):
             monkeypatch.setattr(trajectory, name, boom)
-        monkeypatch.setattr(trajectory._sampling, "map_chunks", boom)
         raster = basin_raster(P_BOUNDARY, 6, 300, 1e-16)
         assert raster.codes.dtype == np.int8 and not raster.codes.any()
         # the proof overrides the budget, as above the threshold
