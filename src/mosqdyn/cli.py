@@ -5,7 +5,7 @@ Subcommands
 simulate    orbit from (--x0, --y0); CSV rows ``n,x,y,phi,region``
 equilibria  fixed points, Jacobians, eigenvalues, classification; JSON
 verify      sampled invariance + Lyapunov monotonicity reports; JSON
-cycles      no-cycle certificate plus brute-force search results; JSON
+cycles      no-cycle certificate plus the proven-empty cycle lists; JSON
 basin       limit-class raster over the trapping rectangle; CSV code matrix
 sweep       regime table over a beta grid at fixed alpha/mu/d0; CSV
 
@@ -26,8 +26,8 @@ reproduce states bit-exactly; identical invocations produce byte-identical
 files.
 
 Start-up: this module imports every analysis module, but not numpy; each
-array path imports it when it runs.  So `equilibria`, `sweep`, usage
-errors and ``--help`` finish without loading numpy.
+array path imports it when it runs.  So `equilibria`, `sweep`, `cycles`,
+usage errors and ``--help`` finish without loading numpy.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Periodic-orbit exclusion: coefficient algebra plus a search oracle.
+"""Periodic-orbit exclusion: coefficient algebra, a theorem, a search oracle.
 
 A period-2 point of the restricted map must satisfy W(W(z)) = z.  Summing
 the two components of that system eliminates y linearly,
@@ -19,8 +19,9 @@ follows after recentering the quadratic at B0 (y(x) >= 0 forces x >= B0).
 Cooperativity then rules out every longer period as well.
 
 Each certificate quantity is computed along two independent algebraic routes
-that must agree to 1e-9 relative; a brute-force Newton search over iterated
-maps provides the fully independent oracle.
+that must agree to 1e-9 relative.  The cycle lists come from the order
+sandwich's theorem (`brute_force_cycle_search`); a damped Newton search over
+iterated maps (`_newton_cycles`) is the tests' fully independent oracle.
 """
 
 from __future__ import annotations
@@ -374,8 +375,36 @@ def _canonical_rotation(pts):
     return tuple(pts[k:] + pts[:k])
 
 
+def _check_search(p: Params, period: int, grid_n: int, tol: float) -> None:
+    """The argument checks of `brute_force_cycle_search` and `_newton_cycles`."""
+    require_w0(p)
+    if period not in (2, 3, 4):
+        raise ValueError(f"period must be 2, 3, or 4, got {period}")
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
+    if not 0.0 < tol < math.inf:  # NaN, 0 or inf would vacuously answer "none"
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def brute_force_cycle_search(p: Params, period: int, grid_n: int,
                              tol: float = RESIDUAL_TOL) -> list[Cycle]:
+    """Period-p cycles in the closed quadrant: none, by a theorem, so [].
+
+    The map is cooperative there (H. L. Smith, Monotone Dynamical Systems,
+    AMS 1995).  Above the exact threshold `equilibria.order_sandwich`, and at
+    or below it the lo = 0 sandwich of `equilibria.settles_near_origin`,
+    send every orbit to a fixed point, so no periodic point is anything else
+    and no seed or step is needed for any tuple `require_w0` admits.  The
+    Newton search this list came from, `_newton_cycles`, is the tests'
+    second route; its -1e-9 quadrant slack only admitted rounded quadrant
+    points.  The arguments are checked as there.
+    """
+    _check_search(p, period, grid_n, tol)
+    return []
+
+
+def _newton_cycles(p: Params, period: int, grid_n: int,
+                   tol: float = RESIDUAL_TOL) -> list[Cycle]:
     """Hunt genuine period-p orbits by Newton from a grid over the rectangle.
 
     Each converged root is stepped period - 1 times, all roots at once, and
@@ -390,17 +419,11 @@ def brute_force_cycle_search(p: Params, period: int, grid_n: int,
     relative band would also admit tuples just above the threshold, where
     phi rises for x < x*.)  Only the survivors, in root order, are
     rotated to a canonical start and deduplicated (DEDUP_RADIUS, up to
-    orbit rotation).  An empty list is the expected outcome for every
-    admissible parameter set.
+    orbit rotation).  Above the threshold the residual test still accepts
+    artifacts, e.g. a hair above the corner mu = 1, alpha + d0 = 1.
     """
+    _check_search(p, period, grid_n, tol)
     import numpy as np
-    require_w0(p)
-    if period not in (2, 3, 4):
-        raise ValueError(f"period must be 2, 3, or 4, got {period}")
-    if grid_n < 1:
-        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
-    if not 0.0 < tol < math.inf:  # NaN, 0 or inf would vacuously answer "none"
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     b = omega_bounds(p)
     gx = np.linspace(0.0, b.x_max, grid_n)
     gy = np.linspace(0.0, b.y_max, grid_n)

@@ -27,7 +27,6 @@ from mosqdyn import (
     OmegaLimitClass,
     RegionLabel,
     State,
-    brute_force_cycle_search,
     check_invariance,
     classify_fixed_point,
     classify_origin_regime,
@@ -47,7 +46,11 @@ from mosqdyn import (
     validate_params,
 )
 from mosqdyn.cli import main
-from mosqdyn.cycles import _reduced_quadratic_routes, _shifted_quadratic_routes
+from mosqdyn.cycles import (
+    _newton_cycles,
+    _reduced_quadratic_routes,
+    _shifted_quadratic_routes,
+)
 from mosqdyn.geometry import RegionBounds, omega_bounds
 from mosqdyn.trajectory import classify_batch
 
@@ -139,9 +142,9 @@ def test_criterion_5_cycle_exclusion():
     tuples = [P0] + [sample_w0_params(rng, "at_or_above") for _ in range(9)]
     for p in tuples:
         for period in (2, 3, 4):
-            assert brute_force_cycle_search(p, period, 50, 1e-10) == [], (p, period)
+            assert _newton_cycles(p, period, 50, 1e-10) == [], (p, period)
     _report(5, f"1e4 certificates succeeded (branches: {branches}); "
-               "grid-50 search found no 2/3/4-cycles on 10 tuples")
+               "grid-50 Newton search found no 2/3/4-cycles on 10 tuples")
 
 
 def test_criterion_6_classification_agreement():

@@ -291,7 +291,7 @@ class TestCycles:
     def test_degenerate_corner_reports_certificate_failure(self, capsys):
         # mu = 1, alpha + d0 = 1, beta on the threshold: D = 0.  Newton finds
         # residual-level artifacts near the non-hyperbolic origin there, and
-        # the search drops them: at or below the threshold no cycle exists.
+        # the lists hold none: at or below the threshold no cycle exists.
         status = main(["cycles", "--alpha", "0.5", "--beta", "2", "--mu", "1",
                        "--d0", "0.5", "--grid-n", "7"])
         captured = capsys.readouterr()
@@ -303,6 +303,21 @@ class TestCycles:
         assert payload["ok"] is False
         assert [b["period"] for b in payload["brute_force"]] == [2, 3, 4]
         assert [b["cycles"] for b in payload["brute_force"]] == [[], [], []]
+
+    def test_large_z_star_lists_no_cycles(self, capsys):
+        # |z*| is near 8e6 here.  The Newton search's residual test accepted
+        # 1280, 1152 and 1152 artifacts on the default grid; the order
+        # sandwich proves that no cycle exists.  The certificate's two
+        # routes disagree at this d0, so the report still fails.
+        status = main(["cycles", "--alpha", "0.8339749585926484",
+                       "--beta", "0.8964979125430002", "--mu", "0.01215246883793422",
+                       "--d0", "2.2098100790239033e-05"])
+        payload = json.loads(capsys.readouterr().out)
+        assert status == 1
+        assert "routes disagree" in payload["certificate_error"]
+        assert [(b["period"], b["grid_n"], b["cycles"]) for b in payload["brute_force"]
+                ] == [(2, 64, []), (3, 64, []), (4, 64, [])]
+        assert payload["ok"] is False
 
 
 class TestBasin:
@@ -509,13 +524,13 @@ class TestStartImports:
           "--d0", "0.3"], 2),
         (["--help"], 0),
         (["-m", "equilibria", *P0_FLAGS], 0),
-    ], ids=["equilibria", "sweep", "usage_error", "help", "python_m"])
+        (["cycles", *P0_FLAGS, "--grid-n", "1"], 0),
+    ], ids=["equilibria", "sweep", "usage_error", "help", "python_m", "cycles"])
     def test_scalar_commands_load_no_numpy(self, argv, code):
         assert _exit_and_numpy(*argv) == (code, False)
 
     @pytest.mark.parametrize("argv", [
         ["basin", *P0_FLAGS, "--grid-n", "2", "--max-iter", "10"],
-        ["cycles", *P0_FLAGS, "--grid-n", "1"],
     ], ids=lambda argv: argv[0])
     def test_array_commands_load_numpy(self, argv):
         assert _exit_and_numpy(*argv) == (0, True)

@@ -22,6 +22,7 @@ from mosqdyn.core import NARROW_LANES, step_w0_raw
 from mosqdyn.cycles import (
     CertificateBranch,
     _newton_cycle_batch,
+    _newton_cycles,
     _reduced_quadratic_routes,
     _shifted_quadratic_routes,
 )
@@ -276,17 +277,23 @@ class TestCertificate:
         assert CertificateBranch.B0_POSITIVE in branches
 
 
+#: The theorem's list and the Newton search refuse the same arguments.
+_SEARCHES = (brute_force_cycle_search, _newton_cycles)
+
+
 class TestBruteForceSearch:
+    """The Newton search, the numerical second route, finds no cycle."""
+
     @pytest.mark.parametrize("period", [2, 3, 4])
     def test_no_cycles_at_reference(self, period):
-        assert brute_force_cycle_search(P0, period, 25) == []
+        assert _newton_cycles(P0, period, 25) == []
 
     def test_no_cycles_on_boundary_tuple(self):
-        assert brute_force_cycle_search(P_BOUNDARY, 2, 25) == []
+        assert _newton_cycles(P_BOUNDARY, 2, 25) == []
 
     def test_no_cycles_below_threshold(self):
         p = validate_params(0.5, 1.0, 0.8, 0.3, 0.0)
-        assert brute_force_cycle_search(p, 2, 25) == []
+        assert _newton_cycles(p, 2, 25) == []
 
     def test_newton_from_fixed_point_converges_and_is_filtered(self):
         rx, ry, res = _newton_cycle_batch(
@@ -295,7 +302,7 @@ class TestBruteForceSearch:
         assert len(rx) == 1 and res[0] < 1e-10
         assert rx[0] == pytest.approx(1.5, abs=1e-9)
         # a grid that contains the fixed point still reports no cycles
-        assert brute_force_cycle_search(P0, 2, 11) == []
+        assert _newton_cycles(P0, 2, 11) == []
 
     #: mu = 1, alpha + d0 = 1, beta on the threshold: J(0)^2 = I there.
     CORNER = validate_params(0.5, 2.0, 1.0, 0.5, 0.0)
@@ -305,7 +312,7 @@ class TestBruteForceSearch:
         # Newton converges to residual-level period-2 artifacts near the
         # non-hyperbolic origin on these grids; no cycle exists there
         for grid_n in (7, 30):
-            assert brute_force_cycle_search(self.CORNER, period, grid_n) == []
+            assert _newton_cycles(self.CORNER, period, grid_n) == []
 
     def test_threshold_rule_is_exact(self):
         # one ulp either side of beta = 2 is on the threshold within
@@ -318,20 +325,23 @@ class TestBruteForceSearch:
         assert order_sandwich(up) is not None
 
     def test_rejects_unsupported_period(self):
-        with pytest.raises(ValueError):
-            brute_force_cycle_search(P0, 5, 10)
+        for search in _SEARCHES:
+            with pytest.raises(ValueError):
+                search(P0, 5, 10)
 
     def test_rejects_empty_grid(self):
         # zero seeds would answer "no cycles" without searching at all
-        with pytest.raises(ValueError, match="grid_n"):
-            brute_force_cycle_search(P0, 2, 0)
+        for search in _SEARCHES:
+            with pytest.raises(ValueError, match="grid_n"):
+                search(P0, 2, 0)
 
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
     def test_rejects_tol_that_is_not_finite_and_positive(self, tol):
         # NaN, 0 or -1 converge no seed, and inf converges every seed: each
         # would answer without a genuine search
-        with pytest.raises(ValueError, match="tol"):
-            brute_force_cycle_search(P0, 2, 7, tol)
+        for search in _SEARCHES:
+            with pytest.raises(ValueError, match="tol"):
+                search(P0, 2, 7, tol)
 
     def test_certificate_agrees_with_search(self):
         rng = make_rng(77)
@@ -339,7 +349,49 @@ class TestBruteForceSearch:
             p = sample_w0_params(rng, "at_or_above")
             cert = no_cycle_certificate(p)
             assert cert.all_positive
-            assert brute_force_cycle_search(p, 2, 15) == []
+            assert _newton_cycles(p, 2, 15) == []
+
+
+def _no_newton(*args):
+    raise AssertionError("the theorem's list ran Newton")
+
+
+class TestTheoremList:
+    """brute_force_cycle_search answers from the order sandwich's theorem."""
+
+    #: A hair above the corner, and a tuple with |z*| near 8e6: the Newton
+    #: search's residual test accepts period-2, 3 and 4 artifacts there.
+    ARTIFACT_TUPLES = [
+        (validate_params(0.5, 2.0000000000000004, 1.0, 0.5, 0.0), 30, (2,)),
+        (validate_params(0.8339749585926484, 0.8964979125430002,
+                         0.01215246883793422, 2.2098100790239033e-05, 0.0),
+         8, (2, 3, 4)),
+    ]
+
+    @pytest.mark.parametrize("p, grid_n, periods", ARTIFACT_TUPLES,
+                             ids=["near_corner", "large_z_star"])
+    def test_drops_what_newton_accepts(self, p, grid_n, periods):
+        assert order_sandwich(p) is not None
+        for period in periods:
+            assert _newton_cycles(p, period, grid_n)
+            assert brute_force_cycle_search(p, period, grid_n) == []
+
+    def test_runs_no_newton(self, monkeypatch):
+        monkeypatch.setattr(cycles, "_newton_cycle_batch", _no_newton)
+        monkeypatch.setattr(cycles, "omega_bounds", _no_newton)
+        rng = make_rng(78)
+        tuples = [P0, P_BOUNDARY, P_B0_NEG, TestBruteForceSearch.CORNER] + [
+            sample_w0_params(rng, regime) for regime in ("above", "below")
+            for _ in range(5)]
+        for p in tuples:
+            for period in (2, 3, 4):
+                assert brute_force_cycle_search(p, period, 64) == []
+
+    def test_rejects_tuples_outside_the_regime(self):
+        p = validate_params(0.7, 2.0, 0.8, 0.5, 0.0)  # alpha + d0 > 1
+        for search in _SEARCHES:
+            with pytest.raises(RegimeError):
+                search(p, 2, 7)
 
 
 class TestPolynomialRootOracle:
@@ -438,13 +490,13 @@ def _swap(p, x, y):
 
 
 class TestVectorFilterMatchesLoop:
-    """brute_force_cycle_search's root filter against the per-root loop."""
+    """_newton_cycles' root filter against the per-root loop."""
 
     def _compare(self, monkeypatch, p, period, roots):
         monkeypatch.setattr(cycles, "_newton_cycle_batch",
                             lambda *args: tuple(a.copy() for a in roots))
         want, rejected = _reference_filter(p, period, *roots)
-        got = brute_force_cycle_search(p, period, 3)
+        got = _newton_cycles(p, period, 3)
         assert [repr(c) for c in got] == [repr(c) for c in want]
         return want, rejected
 
@@ -483,7 +535,7 @@ class TestVectorFilterMatchesLoop:
                                         cycles.RESIDUAL_TOL)
             assert roots[0].size > 0
             want, _ = _reference_filter(p, period, *roots)
-            got = brute_force_cycle_search(p, period, 12)
+            got = _newton_cycles(p, period, 12)
             assert [repr(c) for c in got] == [repr(c) for c in want] == []
 
 

@@ -9,7 +9,7 @@ a raster wide enough for the vector orbit loop (on the threshold, at a tol
 below its band tuple's fixed point) and its proof-decided counterparts above
 and below the threshold, ORBITS pins whole stride-1 orbits in both formats
 (tests/golden/simulate_orbit_<name>.<ext>), and NEAR_CORNER_CYCLES pins a
-search that lists cycles (exit status 1).
+report whose certificate fails (exit status 1).
 """
 
 import os
@@ -80,6 +80,19 @@ def test_stdout_matches_golden_bytes(filename, argv, capsys):
     assert out == (GOLDEN / filename).read_bytes()
 
 
+def _no_newton(*args):
+    raise AssertionError("cycles ran Newton")
+
+
+@pytest.mark.parametrize("name", TUPLES)
+def test_cycles_match_golden_bytes_without_newton(name, monkeypatch, capsys):
+    # above, on and below the threshold the lists come from the theorem alone
+    monkeypatch.setattr("mosqdyn.cycles._newton_cycle_batch", _no_newton)
+    assert main(["cycles", *TUPLES[name], *COMMANDS["cycles"][0]]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (GOLDEN / f"cycles_{name}.json").read_bytes()
+
+
 #: Rasters of 72 x 72 = 5,184 lanes.  Above the threshold the order sandwich
 #: decides every cell without a step, and below it `settles_near_origin`
 #: does, as on the threshold at the golden files' tol.  At tol 1e-17 the band
@@ -130,11 +143,10 @@ def test_wide_band_basin_matches_golden_bytes(workers, monkeypatch, capsys):
     _wide_basin_matches_golden_bytes("band", workers, monkeypatch, capsys)
 
 
-#: The only golden cycles report that lists cycles, so the only one that pins
-#: Newton roots' bits: a hair above the corner mu = 1, alpha + d0 = 1 on the
-#: threshold, no certificate can be built and the grid-30 search reports 49
-#: spurious period-2 cycles near the origin, so the exit status is 1.  A
-#: cycle verdict that proves its roots will change this file.
+#: A hair above the corner mu = 1, alpha + d0 = 1 on the threshold, no
+#: certificate can be built, so the exit status is 1.  The grid-30 Newton
+#: search accepts 49 spurious period-2 cycles near the origin there; the
+#: order sandwich proves that none exists, so every list is empty.
 NEAR_CORNER_CYCLES = (
     "cycles_near_corner_grid30.json",
     ["cycles", "--alpha", "0.5", "--beta", "2.0000000000000004", "--mu", "1",
