@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import enum
 import functools
+import gc
 import json
 import math
 import sys
@@ -397,7 +398,14 @@ def run(cfg: argparse.Namespace) -> int:
     return status
 
 
+@functools.cache
+def _freeze_imports() -> None:
+    """Freeze import-time objects once; no command's collection walks them."""
+    gc.freeze()
+
+
 def main(argv: list[str] | None = None) -> int:
+    _freeze_imports()
     try:
         cfg = parse_args(sys.argv[1:] if argv is None else list(argv))
         return run(cfg)

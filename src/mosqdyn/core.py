@@ -27,8 +27,9 @@ One step function per data shape, and the clamp rule (negatives down to
 
 - ``step_general``: full map, unclamped; the reference tests compare against.
 - ``step_w0``: State to State; equilibria, lyapunov, trajectory.escape_probe.
-- ``step_w0_raw``: floats or arrays, unclamped; cycles Newton.
-- ``step_w0_into``: step_w0_raw into preallocated arrays; the wide orbit loop.
+- ``step_w0_raw``: floats or arrays, unclamped; the Newton oracle in cycles.
+- ``step_w0_into``: step_w0_raw into preallocated arrays; the wide orbit loop
+  of ``trajectory.classify_batch``.
 - ``trajectory._run_lane`` writes step_w0_raw out inline, so that the scalar
   orbit loop makes no call per step;
   ``test_trajectory.TestReferenceLaneLoop`` pins it to step_w0_raw.
@@ -51,15 +52,6 @@ from .errors import (
 #: Negative coordinates no larger than this are treated as rounding noise and
 #: clamped to exactly 0; anything more negative is a hard error.
 CLAMP_TOL = 1e-12
-
-#: The vector loops (`trajectory.classify_batch`, `cycles._newton_cycle_batch`)
-#: hand their lanes to a scalar loop per lane once at most this many are left.
-#: On threshold orbits the two loops cost the same at about 64-72 lanes and on
-#: P0 orbits at about 128 (2-core x86 host): below that, numpy's per-call
-#: dispatch outweighs the lanes' arithmetic.  The constant is the lower of the
-#: two crossovers.  The Newton search barely cares: 300 grid-30 searches took
-#: 0.41-0.42 s at 16 to 128, 0.46 s at 256 and 0.58 s with no handoff.
-NARROW_LANES = 64
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ Cooperativity then rules out every longer period as well.
 Each certificate quantity is computed along two independent algebraic routes
 that must agree to 1e-9 relative.  The cycle lists come from the order
 sandwich's theorem (`brute_force_cycle_search`); a damped Newton search over
-iterated maps (`_newton_cycles`) is the tests' fully independent oracle.
+iterated maps (`_newton_cycles`, one vector path over all seeds) is the
+tests' fully independent oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .core import NARROW_LANES, Params, require_w0, step_w0_raw
+from .core import Params, require_w0, step_w0_raw
 from .equilibria import beta_vs_threshold, jacobian_entries, order_sandwich
 from .errors import BranchError, CertificateFailure, RegimeError
 from .geometry import omega_bounds
@@ -273,15 +274,8 @@ def _newton_cycle_batch(p: Params, x0, y0, period: int, tol: float):
     not keep at or below the current one (NaN included) takes the half step
     instead.  Seeds that wander toward the x = -1 singularity, blow up, or
     hit a singular linearization are dropped; survivors are returned with
-    their final residuals.
-
-    The passes run over all seeds at once, without compaction: a converged
-    or dropped seed keeps being stepped in place.  Once a pass after the
-    first has at most NARROW_LANES active seeds, `_newton_seed` finishes
-    each of them from that pass on Python floats.  A seed that converges on
-    pass 0 meets the drop rules only at the end of that pass, so the handoff
-    waits for pass 1.  The result is bit-identical to running every pass on
-    the vector path, as `test_cycles._reference_newton` does.
+    their final residuals.  The passes run over all seeds at once, without
+    compaction: a converged or dropped seed keeps being stepped in place.
     """
     import numpy as np
     x, y = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
@@ -293,15 +287,7 @@ def _newton_cycle_batch(p: Params, x0, y0, period: int, tol: float):
         scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
         converged = res < tol * scale
         active = alive & ~converged
-        n_active = np.count_nonzero(active)
-        if it == _NEWTON_MAX_ITER or not n_active:
-            break
-        if it and n_active <= NARROW_LANES:
-            for i in np.flatnonzero(active).tolist():
-                root = _newton_seed(p, x[i].item(), y[i].item(), period, tol, it)
-                converged[i] = root is not None
-                if root is not None:
-                    x[i], y[i], res[i] = root
+        if it == _NEWTON_MAX_ITER or not active.any():
             break
         a11, a12, a21, a22 = t11 - 1.0, t12, t21, t22 - 1.0
         det = a11 * a22 - a12 * a21
@@ -323,51 +309,6 @@ def _newton_cycle_batch(p: Params, x0, y0, period: int, tol: float):
         alive &= ~bad
     ok = alive & converged
     return x[ok], y[ok], res[ok]
-
-
-def _nan_max(a: float, b: float) -> float:
-    """max(a, b) in which NaN wins, as in np.maximum."""
-    return a if a >= b or a != a else b
-
-
-def _newton_seed(p: Params, x: float, y: float, period: int, tol: float,
-                 first: int):
-    """Passes first, first + 1, ... of `_newton_cycle_batch` for one live seed.
-
-    Returns (x, y, res) once the seed converges, or None when it is dropped
-    or the budget runs out.  Python raises ZeroDivisionError where numpy
-    divides by zero at x = -1 and carries inf or NaN on.  In the trial
-    orbit, numpy's trial point is then not finite, so the trial step is
-    rejected.  In the orbit Jacobian, every entry is then not finite, so the
-    Newton step is NaN and the seed is dropped.
-    """
-    for it in range(first, _NEWTON_MAX_ITER + 1):
-        try:
-            px, py, (t11, t12, t21, t22) = _orbit_jacobian(p, x, y, period)
-        except ZeroDivisionError:
-            return None
-        fx, fy = px - x, py - y
-        res = _nan_max(abs(fx), abs(fy))
-        if res < tol * _nan_max(1.0, _nan_max(abs(x), abs(y))):
-            return x, y, res
-        a11, a12, a21, a22 = t11 - 1.0, t12, t21, t22 - 1.0
-        det = a11 * a22 - a12 * a21
-        if it == _NEWTON_MAX_ITER or abs(det) < 1e-300:
-            return None
-        dx = (a22 * fx - a12 * fy) / det
-        dy = (a11 * fy - a21 * fx) / det
-        nx, ny = x - dx, y - dy
-        try:
-            tx, ty = _orbit(p, nx, ny, period)
-        except ZeroDivisionError:
-            tx = ty = math.nan
-        grew = not _nan_max(abs(tx - nx), abs(ty - ny)) <= res
-        if grew:
-            nx, ny = x - _NEWTON_DAMPING * dx, y - _NEWTON_DAMPING * dy
-        x, y = nx, ny
-        if (not (math.isfinite(x) and math.isfinite(y)) or 1.0 + x < 1e-9
-                or abs(x) > 1e9 or abs(y) > 1e9):
-            return None
 
 
 def _canonical_rotation(pts):

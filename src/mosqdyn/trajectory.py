@@ -8,10 +8,9 @@ The iterator detects convergence numerically (step size below tol while
 sitting within NEAR_FACTOR*tol of a known fixed point) and otherwise
 reports its budget ran out.  Undetermined is a first-class outcome, never
 coerced: it is also the answer when the point sits that near to both fixed
-points at once.  Basin rasters take their codes from exact proofs instead,
-without a step, wherever one holds: the order sandwich above the threshold
-(`equilibria.order_sandwich`), and `equilibria.settles_near_origin` on and
-below it.
+points at once.  Basin rasters run no step: they take every code from exact
+proofs, the order sandwich above the threshold (`equilibria.order_sandwich`)
+and `equilibria.settles_near_origin` on and below it.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    NARROW_LANES,
     Params,
     State,
     _clamp,
@@ -41,6 +39,13 @@ from .geometry import RegionLabel, _region_codes, omega_bounds
 
 #: "Near a fixed point" means within this multiple of tol, max norm.
 NEAR_FACTOR = 10.0
+
+#: `classify_batch` hands its lanes to the scalar lane loop once at most this
+#: many are left.  On threshold orbits the two loops cost the same at about
+#: 64-72 lanes and on P0 orbits at about 128 (2-core x86 host): below that,
+#: numpy's per-call dispatch outweighs the lanes' arithmetic.  The constant is
+#: the lower of the two crossovers.
+NARROW_LANES = 64
 
 
 class OmegaLimitClass(enum.IntEnum):
@@ -369,18 +374,21 @@ def basin_raster(p: Params, grid_n: int, max_iter: int, tol: float) -> BasinRast
 
     Row index follows y, column index follows x, both ascending from 0, so
     codes[i, j] is the limit class of the initial point (xs[j], ys[i]).
-    Where the positive fixed point exists and `order_sandwich` proves its
-    attraction, every code is 1 except the origin's 0, with no step run:
-    every other lattice point is positive, or on an axis and positive
+    Every code comes from an exact proof and no step runs, so max_iter is
+    only validated.  The origin reads 0.  Where the positive fixed point
+    exists, `order_sandwich` proves its attraction and every other code is
+    1: every other lattice point is positive, or on an axis and positive
     within two steps, so its orbit converges to that fixed point.  These
     codes equal `classify_batch`'s wherever its rule reaches a true verdict;
     where the rule runs out of budget, stops near the repelling origin or
     stops near both fixed points, they hold the proven limit instead.
     Without a positive fixed point, where `settles_near_origin` proves that
-    every orbit ends within the near radius of the origin, every code is 0,
-    again with no step.  Only the rest (the threshold's band at a tol below
-    its fixed point) runs that rule on every lattice point, in one
-    `classify_batch` call.
+    every orbit ends within the near radius of the origin, every code is 0.
+    The rest is the threshold's band at a tol below its exact fixed point:
+    there beta lies exactly above the threshold, so every other orbit
+    converges to a fixed point that the float regime does not list and that
+    lies at least the near radius from the origin.  No verdict but 3 is true
+    of those cells.
     """
     import numpy as np
     require_w0(p)
@@ -393,10 +401,11 @@ def basin_raster(p: Params, grid_n: int, max_iter: int, tol: float) -> BasinRast
     xs = np.linspace(0.0, b.x_max, grid_n)
     ys = np.linspace(0.0, b.y_max, grid_n)
     if len(fps) > 1 and order_sandwich(p) is not None:
-        codes = np.ones((grid_n, grid_n), dtype=np.int8)
-        codes[0, 0] = int(OmegaLimitClass.CONVERGED_TO_ORIGIN)
+        fill = OmegaLimitClass.CONVERGED_TO_POSITIVE_FIXED_POINT
     elif len(fps) == 1 and settles_near_origin(p, near):
-        codes = np.zeros((grid_n, grid_n), dtype=np.int8)
+        fill = OmegaLimitClass.CONVERGED_TO_ORIGIN
     else:
-        codes, _, _, _ = classify_batch(p, *np.meshgrid(xs, ys), max_iter, tol)
+        fill = OmegaLimitClass.UNDETERMINED
+    codes = np.full((grid_n, grid_n), int(fill), dtype=np.int8)
+    codes[0, 0] = int(OmegaLimitClass.CONVERGED_TO_ORIGIN)
     return BasinRaster(xs=xs, ys=ys, codes=codes)

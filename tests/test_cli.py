@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -463,6 +464,15 @@ class TestDeterminismAndExitCodes:
         monkeypatch.setenv("MOSQDYN_THREADS", "0")
         assert main(argv) == status
         assert capsys.readouterr() == base
+
+    def test_import_time_objects_are_frozen_once(self, capsys):
+        # a second freeze would also pin the cyclic garbage of every
+        # command run before it
+        assert main(["equilibria", *P0_FLAGS]) == 0
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        assert main(["equilibria", *P0_FLAGS]) == 0
+        assert gc.get_freeze_count() <= frozen
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "eq.json"

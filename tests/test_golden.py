@@ -5,11 +5,10 @@ small size.  After an intended output change, regenerate a file with
 ``python -m mosqdyn <argv> > tests/golden/<file>``, using the argv below.
 The SUBSTITUTED files pin failing reports: they hold the stdout of the same
 call made in-process with the listed substitution applied.  WIDE_BASIN pins
-a raster wide enough for the vector orbit loop (on the threshold, at a tol
-below its band tuple's fixed point) and its proof-decided counterparts above
-and below the threshold, ORBITS pins whole stride-1 orbits in both formats
-(tests/golden/simulate_orbit_<name>.<ext>), and NEAR_CORNER_CYCLES pins a
-report whose certificate fails (exit status 1).
+wide proof-decided rasters above, below and on the threshold (at a tol below
+its band tuple's fixed point), ORBITS pins whole stride-1 orbits in both
+formats (tests/golden/simulate_orbit_<name>.<ext>), and NEAR_CORNER_CYCLES
+pins a report whose certificate fails (exit status 1).
 """
 
 import os
@@ -93,13 +92,12 @@ def test_cycles_match_golden_bytes_without_newton(name, monkeypatch, capsys):
     assert out == (GOLDEN / f"cycles_{name}.json").read_bytes()
 
 
-#: Rasters of 72 x 72 = 5,184 lanes.  Above the threshold the order sandwich
-#: decides every cell without a step, and below it `settles_near_origin`
-#: does, as on the threshold at the golden files' tol.  At tol 1e-17 the band
-#: tuple's exact fixed point, about (4.1e-16, 2.5e-16), lies beyond the near
-#: radius 1e-16, so the vector loop runs over the whole raster: the origin
-#: stops at step 0 and every other lane uses the whole budget.  The grid-6
-#: rasters run no step.
+#: Rasters of 72 x 72 = 5,184 lanes, none of which steps.  Above the
+#: threshold the order sandwich decides every cell, and below it
+#: `settles_near_origin` does, as on the threshold at the golden files' tol.
+#: At tol 1e-17 the band tuple's exact fixed point, about (4.1e-16, 2.5e-16),
+#: lies beyond the near radius 1e-16, so every cell but the origin reads 3:
+#: the float regime does not list the point its orbit converges to.
 WIDE_BASIN = {
     name: (f"basin_{name}_wide.csv",
            ["basin", *TUPLES[flags], "--grid-n", "72", "--max-iter", "300", *extra])
@@ -107,11 +105,11 @@ WIDE_BASIN = {
                                ("band", "boundary", ["--tol", "1e-17"]))
 }
 
-#: Values of MOSQDYN_THREADS, which earlier versions read and which an
-#: environment may still set: none may change a byte or start a process.
-WORKERS = pytest.mark.parametrize("workers", [None, "2", "3", "zero"],
-                                  ids=["threads_unset", "threads_2", "threads_3",
-                                       "threads_zero"])
+#: A value of MOSQDYN_THREADS, which earlier versions read and which an
+#: environment may still set: it may change no byte and start no process.
+#: Nothing reads the variable any more, so one value is enough; it keeps its
+#: test id.
+WORKERS = pytest.mark.parametrize("workers", ["3"], ids=["threads_3"])
 
 
 def _refuse_fork():
@@ -119,9 +117,7 @@ def _refuse_fork():
 
 
 def _wide_basin_matches_golden_bytes(name, workers, monkeypatch, capsys):
-    monkeypatch.delenv("MOSQDYN_THREADS", raising=False)
-    if workers is not None:
-        monkeypatch.setenv("MOSQDYN_THREADS", workers)
+    monkeypatch.setenv("MOSQDYN_THREADS", workers)
     monkeypatch.setattr(os, "fork", _refuse_fork, raising=False)
     filename, argv = WIDE_BASIN[name]
     assert main(argv) == 0

@@ -17,8 +17,8 @@ def test_thread_count_is_one_whatever_the_environment(monkeypatch):
 
 
 def test_basin_imports_no_pool():
-    # P0 is decided by the proof; on the threshold at tol 1e-17 the rule
-    # runs on every cell
+    # P0 and the threshold's band at tol 1e-17 are both decided by proofs;
+    # the stopping rule runs at no tol
     code = ("import sys, mosqdyn.cli; "
             "[mosqdyn.cli.main(['basin', '--alpha', '0.5', '--beta', beta, "
             "'--mu', '0.8', '--d0', '0.3', '--grid-n', '6', '--max-iter', "

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -700,12 +701,12 @@ class TestBasinRaster:
         raster = basin_raster(P_BOUNDARY, 8, 2 * 10**6, 1e-5)
         assert np.all(raster.codes == int(OmegaLimitClass.CONVERGED_TO_ORIGIN))
 
-    # earlier versions read MOSQDYN_THREADS; an environment may still set it
-    @pytest.mark.parametrize("workers", ["2", "3", "4"])
+    # earlier versions read MOSQDYN_THREADS; an environment may still set it.
+    # Nothing reads it any more, so one value is enough; it keeps its test id
+    @pytest.mark.parametrize("workers", ["2"])
     @pytest.mark.parametrize("grid_n", [12, 40])
     def test_thread_count_does_not_change_raster(self, monkeypatch, grid_n, workers):
-        # P0 and P_BELOW are decided by the proofs; at tol 1e-17 the band
-        # tuple's fixed point lies beyond the near radius, so the rule runs
+        # every raster is decided by a proof: above, below and on the threshold
         for p, max_iter, tol in ((P0, 10**5, 1e-8), (P_BELOW, 10**5, 1e-8),
                                  (P_BOUNDARY, 300, 1e-17)):
             monkeypatch.delenv("MOSQDYN_THREADS", raising=False)
@@ -835,15 +836,13 @@ class TestBoxRaster:
 
     # the rule runs the scalar loop alone at grid 6, the vector loop at grid
     # 20, and compacts the vector loop's lanes at grid 64; the raster runs
-    # neither, whatever MOSQDYN_THREADS holds
-    @pytest.mark.parametrize("workers", [None, "2", "3"],
-                             ids=["threads_unset", "threads_2", "threads_3"])
+    # neither, whatever MOSQDYN_THREADS holds.  Nothing reads the variable
+    # any more, so one value is enough; it keeps its test id
+    @pytest.mark.parametrize("workers", ["3"], ids=["threads_3"])
     @pytest.mark.parametrize("grid_n", [6, 20, 64])
     def test_codes_equal_the_rule_wherever_it_decides(self, monkeypatch, grid_n,
                                                       workers):
-        monkeypatch.delenv("MOSQDYN_THREADS", raising=False)
-        if workers is not None:
-            monkeypatch.setenv("MOSQDYN_THREADS", workers)
+        monkeypatch.setenv("MOSQDYN_THREADS", workers)
         rng = make_rng(97)
         for p in [P0, P_SLOW] + [sample_w0_params(rng, "above") for _ in range(4)]:
             assert regime_quantities(p).x_star is not None
@@ -964,23 +963,50 @@ class TestOriginRaster:
                 assert not settles_near_origin(p, float(max(xs, ys)) / 2)
         assert below >= 5 and band >= 1
 
-    def test_band_tuple_runs_no_step_unless_tol_is_below_its_fixed_point(
-            self, monkeypatch, capsys):
+    def test_band_tuple_runs_no_step_at_any_tol(self, monkeypatch, capsys):
         # P_BOUNDARY's exact z* is about (4.07e-16, 2.54e-16): near = 10*tol
-        # holds it at tol 1e-16, not at 1e-17
+        # holds it at tol 1e-16, where `settles_near_origin` gives all 0s,
+        # but not at 1e-17, where z* exists exactly but not in floats and
+        # every cell but the origin reads 3.  No orbit loop runs at either
         def boom(*args):
             raise AssertionError("the stopping rule ran")
 
-        for name in ("_run_lane", "_classify_wide"):
+        for name in ("_run_lane", "_classify_wide", "classify_batch"):
             monkeypatch.setattr(trajectory, name, boom)
         raster = basin_raster(P_BOUNDARY, 6, 300, 1e-16)
         assert raster.codes.dtype == np.int8 and not raster.codes.any()
         # the proof overrides the budget, as above the threshold
         argv = ["basin", "--alpha", "0.5", "--beta", "1.2800000000000002",
-                "--mu", "0.8", "--d0", "0.3", "--grid-n", "6"]
-        assert main([*argv, "--max-iter", "1"]) == 0
+                "--mu", "0.8", "--d0", "0.3"]
+        assert main([*argv, "--grid-n", "6", "--max-iter", "1"]) == 0
         assert capsys.readouterr().out == "0,0,0,0,0,0\n" * 6
-        monkeypatch.undo()
-        assert main([*argv, "--max-iter", "300", "--tol", "1e-17"]) == 0
+        assert main([*argv, "--grid-n", "6", "--max-iter", "300",
+                     "--tol", "1e-17"]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert rows == ["0,3,3,3,3,3"] + ["3,3,3,3,3,3"] * 5
+        # at the default budget of 10**7 steps
+        assert main([*argv, "--grid-n", "72", "--tol", "1e-17"]) == 0
+        golden = Path(__file__).parent / "golden" / "basin_band_wide.csv"
+        assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+    #: (tuple, grid_n, max_iter, tol) on the threshold's band at a tol below
+    #: the exact fixed point: P_BOUNDARY, and tuples with beta/t - 1 = k*1e-13
+    BAND_CASES = [(P_BOUNDARY, grid_n, max_iter, tol)
+                  for tol in (1e-17, 4e-17) for grid_n in (2, 6, 33)
+                  for max_iter in (1, 300, 20000)] + [
+        (validate_params(0.5, 0.8 * (1.0 + d0 / 0.5) * (1.0 + k * 1e-13), 0.8, d0),
+         12, 3000, tol)
+        for d0, tol, k in ((1e-6, 1e-8, 2), (1e-6, 1e-8, 5), (1e-6, 1e-10, 1),
+                           (1e-8, 1e-8, 1), (1e-8, 1e-10, 1), (1e-8, 1e-10, 5))]
+
+    def test_band_codes_equal_the_rule(self):
+        # the second route: there the rule stops no lane but the origin's
+        for p, grid_n, max_iter, tol in self.BAND_CASES:
+            assert beta_vs_threshold(p) == 0
+            assert not settles_near_origin(p, trajectory.NEAR_FACTOR * tol)
+            raster = basin_raster(p, grid_n, max_iter, tol)
+            gx, gy = np.meshgrid(raster.xs, raster.ys)
+            want, _, _, _ = classify_batch(p, gx, gy, max_iter, tol)
+            assert np.array_equal(raster.codes, want)
+            assert raster.codes[0, 0] == int(_ORIGIN)
+            assert (raster.codes.ravel()[1:] == int(_UNDETERMINED)).all()
