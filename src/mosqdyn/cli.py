@@ -268,15 +268,18 @@ def _run_equilibria(cfg: argparse.Namespace):
 
 
 def _run_verify(cfg: argparse.Namespace):
+    import numpy as np
     p = cfg.params
     regions = [RegionLabel.OMEGA_ONLY]
     if regime_quantities(p).x_star is not None:
         regions += [RegionLabel.OMEGA1, RegionLabel.OMEGA2]
-    invariance = [check_invariance(p, r, cfg.samples, cfg.seed) for r in regions]
+    ws = np.empty((5, cfg.samples))  # every sampled region of the call shares it
+    invariance = [check_invariance(p, r, cfg.samples, cfg.seed, workspace=ws)
+                  for r in regions]
 
     lyap = None
     if beta_vs_threshold(p) >= 0:
-        lyap = monotonicity_report(p, cfg.samples, cfg.seed)
+        lyap = monotonicity_report(p, cfg.samples, cfg.seed, workspace=ws)
     n_violations = (sum(len(r.violations) for r in invariance)
                     + (0 if lyap is None else lyap.total_violations))
     return (0 if n_violations == 0 else 1), {

@@ -29,11 +29,11 @@ One step function per data shape, and the clamp rule (negatives down to
 - ``step_w0``: State to State; equilibria, lyapunov, trajectory.escape_probe.
 - ``step_w0_raw``: floats or arrays, unclamped; the Newton oracle in cycles.
 - ``step_w0_into``: step_w0_raw into preallocated arrays; the wide orbit loop
-  of ``trajectory.classify_batch``.
+  of ``trajectory.classify_batch`` and geometry's sampling workspace.
 - ``trajectory._run_lane`` writes step_w0_raw out inline, so that the scalar
   orbit loop makes no call per step;
   ``test_trajectory.TestReferenceLaneLoop`` pins it to step_w0_raw.
-- ``step_w0_batch``: arrays, clamped by ``_clamp_into``; geometry's sampling.
+- ``step_w0_batch``: arrays into fresh arrays, clamped by ``_clamp_into``.
 """
 
 from __future__ import annotations

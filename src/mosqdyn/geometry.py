@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 
 from . import _sampling
-from .core import Params, State, require_w0, step_w0_batch
+from .core import Params, State, _clamp_into, require_w0, step_w0_into
 from .equilibria import regime_quantities
 from .errors import DomainError, NotClaimedInvariantError, RegimeError
 
@@ -154,32 +154,56 @@ def region_box(p: Params, region: RegionLabel) -> tuple[float, float, float, flo
 def sample_region(p: Params, region: RegionLabel, n_samples: int, seed: int,
                   stream: int = _sampling.STREAM_INVARIANCE):
     """n_samples uniform points of a region's box; deterministic given seed."""
-    x_lo, x_hi, y_lo, y_hi = region_box(p, region)
-    rng = _sampling.generator(seed, stream, _REGION_STREAM[region])
-    xs = rng.uniform(x_lo, x_hi, n_samples)
-    ys = rng.uniform(y_lo, y_hi, n_samples)
+    import numpy as np
+    xs, ys = np.empty((2, n_samples))
+    _draw_into(p, region, seed, stream, xs, ys)
     return xs, ys
 
 
+def _draw_into(p: Params, region: RegionLabel, seed: int, stream: int,
+               xs: np.ndarray, ys: np.ndarray) -> None:
+    """Fill xs, then ys, in place with what two `Generator.uniform` calls give:
+    the same doubles u, mapped to lo + (hi - lo)*u with the same two roundings."""
+    import numpy as np
+    x_lo, x_hi, y_lo, y_hi = region_box(p, region)
+    rng = _sampling.generator(seed, stream, _REGION_STREAM[region])
+    for row, lo, hi in ((xs, x_lo, x_hi), (ys, y_lo, y_hi)):
+        if not np.isfinite(hi - lo):
+            raise OverflowError("high - low range exceeds valid bounds")
+        rng.random(out=row)
+        np.multiply(row, hi - lo, out=row)
+        np.add(row, lo, out=row)
+
+
 def _sampled_images(p: Params, region: RegionLabel, n: int, seed: int,
-                    stream: int):
+                    stream: int, workspace: np.ndarray):
     """Seeded samples of a region and their images, as (xs, ys, xp, yp).
 
-    The whole sample is stepped in one `step_w0_batch` call, never in chunks.
+    They are rows 0-3 of `workspace`, a C-contiguous float64 (5, n) array
+    whose row 4 is the step's scratch; the sample is stepped at once, never
+    in chunks, and clamped as `step_w0_batch` clamps.
     """
-    xs, ys = sample_region(p, region, n, seed, stream)
-    return xs, ys, *step_w0_batch(p, xs, ys)
+    xs, ys, xp, yp, em = workspace
+    _draw_into(p, region, seed, stream, xs, ys)
+    step_w0_into(p, xs, ys, xp, yp, em)
+    _clamp_into(xp, yp)
+    return xs, ys, xp, yp
 
 
 def check_invariance(p: Params, region: RegionLabel, n_samples: int,
-                     seed: int) -> InvarianceReport:
+                     seed: int, *, workspace=None) -> InvarianceReport:
     """Sample a claimed-invariant region and verify images stay inside.
 
     Only Omega (via OMEGA_ONLY), Omega1 and Omega2 carry invariance claims;
     asking about Omega3/Omega4 (or the outside) is refused.  A sample
     violates when its image leaves the region's box by more than
     CONTAINMENT_TOL in some coordinate; violations are reported in sample
-    order together with the worst excursion seen.
+    order together with the worst excursion seen.  `workspace` is scratch,
+    not an option: any C-contiguous float64 (5, n_samples) array gives the
+    same report.  Images strictly inside the box make all four differences
+    below negative, so the running maximum ends at +0.0 for every sample:
+    that report is read off four extremes, and only NaN, edge or empty
+    samples take the loop.
     """
     import numpy as np
     require_w0(p)
@@ -188,8 +212,13 @@ def check_invariance(p: Params, region: RegionLabel, n_samples: int,
             f"no invariance claim for region {region.value}"
         )
     x_lo, x_hi, y_lo, y_hi = region_box(p, region)
+    if workspace is None:
+        workspace = np.empty((5, n_samples))
     xs, ys, xp, yp = _sampled_images(p, region, n_samples, seed,
-                                     _sampling.STREAM_INVARIANCE)
+                                     _sampling.STREAM_INVARIANCE, workspace)
+    if (xp.size and x_lo < xp.min() and xp.max() < x_hi
+            and y_lo < yp.min() and yp.max() < y_hi):
+        return InvarianceReport(region, n_samples, seed, (), 0.0)
     # a running maximum; the operand order decides which of 0.0 and -0.0 wins
     ex = np.subtract(x_lo, xp)
     m = np.empty_like(ex)
@@ -204,10 +233,4 @@ def check_invariance(p: Params, region: RegionLabel, n_samples: int,
         for i in np.flatnonzero(ex > CONTAINMENT_TOL)
     ]
     max_excursion = float(ex.max()) if ex.size else 0.0
-    return InvarianceReport(
-        region=region,
-        n_samples=n_samples,
-        seed=seed,
-        violations=tuple(violations),
-        max_excursion=max_excursion,
-    )
+    return InvarianceReport(region, n_samples, seed, tuple(violations), max_excursion)

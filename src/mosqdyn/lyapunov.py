@@ -100,14 +100,17 @@ def lyapunov_sample(p: Params, z: State) -> LyapunovSample:
     )
 
 
-def monotonicity_report(p: Params, n_samples: int, seed: int) -> MonotonicityReport:
+def monotonicity_report(p: Params, n_samples: int, seed: int, *,
+                        workspace=None) -> MonotonicityReport:
     """Sampled verification of the increment's sign pattern.
 
     Above the threshold the claims are: nondecreasing on Omega1 and
     nonincreasing on Omega2.  At the threshold: nonincreasing on all of
     Omega.  Violations are judged on the direct difference (the actual map),
     with SIGN_TOL slack; the worst margin and its sample point are reported
-    whether or not anything violated.
+    whether or not anything violated, and the violations are counted only
+    when that worst sample (first NaN included) violates.  Every region is
+    sampled and differenced in one `workspace`, as in `check_invariance`.
     """
     import numpy as np
     require_w0(p)
@@ -123,30 +126,26 @@ def monotonicity_report(p: Params, n_samples: int, seed: int) -> MonotonicityRep
             (RegionLabel.OMEGA1, "nondecreasing"),
             (RegionLabel.OMEGA2, "nonincreasing"),
         ]
+    if workspace is None:
+        workspace = np.empty((5, n_samples))
     entries = []
     for region, claim in plan:
         xs, ys, xp, yp = _sampled_images(p, region, n_samples, seed,
-                                         _sampling.STREAM_MONOTONICITY)
+                                         _sampling.STREAM_MONOTONICITY, workspace)
         if n_samples == 0:
             entries.append(RegionMonotonicity(region, claim, 0, 0, None, None))
             continue
         # phi(image) - phi(sample), written over the images
         np.multiply(p.mu, xp, out=xp)
         np.add(xp, np.multiply(p.beta, yp, out=yp), out=xp)
-        np.add(np.multiply(p.mu, xs, out=yp), p.beta * ys, out=yp)
+        np.add(np.multiply(p.mu, xs, out=yp),
+               np.multiply(p.beta, ys, out=workspace[4]), out=yp)
         delta = np.subtract(xp, yp, out=xp)
-        if claim == "nondecreasing":
-            bad = delta < -SIGN_TOL
-            worst_i = int(np.argmin(delta))
-        else:
-            bad = delta > SIGN_TOL
-            worst_i = int(np.argmax(delta))
-        entries.append(RegionMonotonicity(
-            region=region,
-            claim=claim,
-            n_samples=n_samples,
-            n_violations=int(bad.sum()),
-            worst_delta=float(delta[worst_i]),
-            worst_point=(float(xs[worst_i]), float(ys[worst_i])),
-        ))
+        up = claim == "nondecreasing"
+        worst_i = int(np.argmin(delta) if up else np.argmax(delta))
+        worst, n_bad = delta[worst_i], 0
+        if not (worst >= -SIGN_TOL if up else worst <= SIGN_TOL):
+            n_bad = int(np.count_nonzero(delta < -SIGN_TOL if up else delta > SIGN_TOL))
+        entries.append(RegionMonotonicity(region, claim, n_samples, n_bad, float(worst),
+                                          (float(xs[worst_i]), float(ys[worst_i]))))
     return MonotonicityReport(n_samples, seed, tuple(entries))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,22 @@ class TestVerify:
         assert status == 0
         assert [r["region"] for r in payload["invariance"]] == ["omega_only"]
         assert payload["lyapunov"] is None
+
+    def test_traced_peak_is_one_workspace(self, tmp_path):
+        # the five sampled regions share one (5, n) float64 workspace, so the
+        # traced peak stays near 5 arrays of n doubles; fresh arrays per
+        # region (two draws, three step outputs, the excursion's two) reached 9
+        n = 100_000
+        argv = ["verify", *P0_FLAGS, "--samples", str(n), "--out",
+                str(tmp_path / "verify.json")]
+        assert main(argv) == 0  # warm: imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * n
 
 
 class TestCycles:

@@ -14,7 +14,7 @@ from mosqdyn import (
 )
 from mosqdyn.core import step_w0_batch
 from mosqdyn.errors import DomainError, NotClaimedInvariantError, RegimeError
-from mosqdyn import geometry
+from mosqdyn import _sampling, geometry
 from mosqdyn.geometry import (
     CONTAINMENT_TOL,
     RegionViolation,
@@ -232,6 +232,25 @@ def _reference_excursion(box, xp, yp):
     ])
 
 
+class _ReductionsOnly(np.ndarray):
+    """Images that give their extremes but refuse elementwise arithmetic."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method == "__call__":
+            raise AssertionError(f"elementwise {ufunc.__name__} on the images")
+        return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+
+def _inside_images(box):
+    """Images strictly inside a box, one a float step from each edge."""
+    x_lo, x_hi, y_lo, y_hi = box
+    xm, ym = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
+    pts = [(xm, ym), (math.nextafter(x_lo, math.inf), ym),
+           (math.nextafter(x_hi, 0.0), ym), (xm, math.nextafter(y_lo, math.inf)),
+           (xm, math.nextafter(y_hi, 0.0))]
+    return [np.array(c) for c in zip(*pts)]
+
+
 class TestExcursionMatchesStackedMaximum:
     def _compare(self, monkeypatch, region, box, xp, yp):
         xs, ys = xp + 0.5, yp + 0.25  # any distinct preimages will do
@@ -266,6 +285,34 @@ class TestExcursionMatchesStackedMaximum:
         self._compare(monkeypatch, RegionLabel.OMEGA_ONLY, box,
                       np.empty(0), np.empty(0))
 
+    def _reduce_only(self, monkeypatch, region, xp, yp):
+        """check_invariance on images that allow nothing but reductions."""
+        xs, ys = xp + 0.5, yp + 0.25
+        guarded = [a.view(_ReductionsOnly) for a in (xp, yp)]
+        monkeypatch.setattr(geometry, "_sampled_images",
+                            lambda *args: (xs, ys, *guarded))
+        return check_invariance(P0, region, xp.size, seed=0)
+
+    @pytest.mark.parametrize("region", [
+        RegionLabel.OMEGA1, RegionLabel.OMEGA2, RegionLabel.OMEGA_ONLY,
+    ])
+    def test_strictly_inside_reads_only_the_extremes(self, monkeypatch, region):
+        box = region_box(P0, region)
+        xp, yp = _inside_images(box)
+        report = self._compare(monkeypatch, region, box, xp, yp)
+        assert report.violations == () and repr(report.max_excursion) == "0.0"
+        assert self._reduce_only(monkeypatch, region, xp, yp) == report
+
+    @pytest.mark.parametrize("edge", range(4), ids=["x_lo", "x_hi", "y_lo", "y_hi"])
+    def test_image_on_an_edge_takes_the_running_maximum(self, monkeypatch, edge):
+        box = region_box(P0, RegionLabel.OMEGA2)
+        xp, yp = _inside_images(box)
+        (xp, xp, yp, yp)[edge][0] = box[edge]
+        report = self._compare(monkeypatch, RegionLabel.OMEGA2, box, xp, yp)
+        assert report.violations == () and repr(report.max_excursion) == "0.0"
+        with pytest.raises(AssertionError, match="elementwise"):
+            self._reduce_only(monkeypatch, RegionLabel.OMEGA2, xp, yp)
+
     def test_nan_image(self, monkeypatch):
         box = region_box(P0, RegionLabel.OMEGA1)
         xp, yp = _edge_images(box)
@@ -283,7 +330,70 @@ class TestExcursionMatchesStackedMaximum:
         assert report.violations == () and repr(report.max_excursion) == "0.0"
 
 
+def _reference_images(p, region, n, seed, stream):
+    """The reference draw: two `Generator.uniform` calls over the region's
+    box, stepped by `step_w0_batch`."""
+    x_lo, x_hi, y_lo, y_hi = geometry.region_box(p, region)
+    rng = _sampling.generator(seed, stream, geometry._REGION_STREAM[region])
+    xs = rng.uniform(x_lo, x_hi, n)
+    ys = rng.uniform(y_lo, y_hi, n)
+    return (xs, ys, *step_w0_batch(p, xs, ys))
+
+
+#: Every region with a box at P0 (the outside has none).
+BOXED = [r for r in RegionLabel if r is not RegionLabel.OUTSIDE_OMEGA]
+
+
+def _same_bits(got, want):
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 class TestSampling:
+    @pytest.mark.parametrize("n", [0, 1, 2, 19_999, 20_000])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_draws_and_images_match_uniform_and_batch_step(self, seed, n):
+        # pins that u*(hi - lo) + lo rounds as uniform's lo + (hi - lo)*u does,
+        # with no fused multiply-add on either side
+        for region in BOXED:
+            ref = _reference_images(P0, region, n, seed, _sampling.STREAM_INVARIANCE)
+            _same_bits(sample_region(P0, region, n, seed), ref[:2])
+            for stream in (_sampling.STREAM_INVARIANCE, _sampling.STREAM_MONOTONICITY):
+                # a used workspace: every row must be written, not read
+                ws = np.full((5, n), np.nan)
+                _same_bits(geometry._sampled_images(P0, region, n, seed, stream, ws),
+                           _reference_images(P0, region, n, seed, stream))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_check_invariance_steps_the_reference_images(self, monkeypatch, seed):
+        real, seen = geometry._sampled_images, []
+
+        def record(*args):
+            images = real(*args)
+            seen.append([a.copy() for a in images])
+            return images
+
+        monkeypatch.setattr(geometry, "_sampled_images", record)
+        ws = np.empty((5, 2_000))
+        for region in (RegionLabel.OMEGA_ONLY, RegionLabel.OMEGA1, RegionLabel.OMEGA2):
+            fresh = check_invariance(P0, region, 2_000, seed)
+            assert check_invariance(P0, region, 2_000, seed, workspace=ws) == fresh
+            for images in seen[-2:]:
+                _same_bits(images, _reference_images(P0, region, 2_000, seed,
+                                                     _sampling.STREAM_INVARIANCE))
+
+    @pytest.mark.parametrize("box", [(0.0, math.inf, 0.0, 1.0),
+                                     (0.0, 1.0, -math.inf, 1.0),
+                                     (0.0, math.nan, 0.0, 1.0)],
+                             ids=["x_hi_inf", "y_lo_inf", "x_hi_nan"])
+    def test_non_finite_range_is_an_overflow_error(self, monkeypatch, box):
+        monkeypatch.setattr(geometry, "region_box", lambda p, region: box)
+        with pytest.raises(OverflowError):
+            _reference_images(P0, RegionLabel.OMEGA_ONLY, 10, 0, 1)
+        with pytest.raises(OverflowError):
+            sample_region(P0, RegionLabel.OMEGA_ONLY, 10, seed=0)
+        with pytest.raises(OverflowError):
+            check_invariance(P0, RegionLabel.OMEGA_ONLY, 10, seed=0)
+
     def test_samples_fall_in_the_region_box(self):
         xs, ys = sample_region(P0, RegionLabel.OMEGA2, 1_000, seed=2)
         x_lo, x_hi, y_lo, y_hi = region_box(P0, RegionLabel.OMEGA2)

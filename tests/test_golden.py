@@ -8,7 +8,9 @@ call made in-process with the listed substitution applied.  WIDE_BASIN pins
 wide proof-decided rasters above, below and on the threshold (at a tol below
 its band tuple's fixed point), ORBITS pins whole stride-1 orbits in both
 formats (tests/golden/simulate_orbit_<name>.<ext>), and NEAR_CORNER_CYCLES
-pins a report whose certificate fails (exit status 1).
+pins a report whose certificate fails (exit status 1).  The files
+verify_<tuple>_full.json pin verify at its default size, --samples 100000
+and --seed 0: their argv is ``verify <tuple flags>`` alone.
 """
 
 import os
@@ -68,6 +70,8 @@ CASES = [
     (f"simulate_orbit_{name}.{ext}", ["simulate", *flags, "--format", ext])
     for name, flags in ORBITS.items()
     for ext in ("csv", "json")
+] + [
+    (f"verify_{name}_full.json", ["verify", *flags]) for name, flags in TUPLES.items()
 ]
 
 

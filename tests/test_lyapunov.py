@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from conftest import (
@@ -18,6 +21,7 @@ from mosqdyn import (
     validate_params,
 )
 from mosqdyn.errors import RegimeError
+from mosqdyn.lyapunov import SIGN_TOL
 
 
 class TestPhi:
@@ -133,3 +137,58 @@ class TestMonotonicityReport:
             p = sample_w0_params(rng, "at_or_above")
             rep = monotonicity_report(p, 2_000, seed=11)
             assert rep.total_violations == 0, p
+
+
+def _stub_images(monkeypatch, images):
+    """Make monotonicity_report difference fresh copies of `images` per region."""
+    def stub(p, region, n, seed, stream, workspace):
+        assert workspace.shape == (5, n)
+        return tuple(a.copy() for a in images)
+
+    monkeypatch.setattr("mosqdyn.lyapunov._sampled_images", stub)
+
+
+class TestViolationCount:
+    """n_violations against a plain count, on images that break both claims."""
+
+    def _images(self, n=4_000):
+        rng = make_rng(58)
+        xs, ys = rng.uniform(0.0, 4.0, n), rng.uniform(0.0, 0.6, n)
+        xp = xs + rng.uniform(-1e-9, 1e-9, n)
+        yp = ys + rng.uniform(-1e-9, 1e-9, n)
+        xp[::7] = xs[::7]  # some increments exactly 0
+        yp[::7] = ys[::7]
+        return xs, ys, xp, yp
+
+    def _deltas(self, images):
+        xs, ys, xp, yp = images
+        return (P0.mu * xp + P0.beta * yp) - (P0.mu * xs + P0.beta * ys)
+
+    def test_counts_match_the_elementwise_comparison(self, monkeypatch):
+        images = self._images()
+        delta = self._deltas(images)
+        _stub_images(monkeypatch, images)
+        up, down = monotonicity_report(P0, delta.size, seed=0).regions
+        assert (up.claim, down.claim) == ("nondecreasing", "nonincreasing")
+        assert up.n_violations == int((delta < -SIGN_TOL).sum()) > 0
+        assert down.n_violations == int((delta > SIGN_TOL).sum()) > 0
+        assert up.worst_delta == delta.min() and down.worst_delta == delta.max()
+
+    def test_no_violator_counts_zero(self, monkeypatch):
+        xs, ys, xp, yp = self._images()
+        images = (xs, ys, xs, ys)  # the identity map: every increment is 0
+        _stub_images(monkeypatch, images)
+        rep = monotonicity_report(P0, xs.size, seed=0)
+        assert [r.n_violations for r in rep.regions] == [0, 0]
+        assert [r.worst_delta for r in rep.regions] == [0.0, 0.0]
+
+    def test_nan_worst_value_still_counts_every_violator(self, monkeypatch):
+        xs, ys, xp, yp = images = self._images()
+        xp[10] = np.nan
+        delta = self._deltas(images)
+        _stub_images(monkeypatch, images)
+        up, down = monotonicity_report(P0, xs.size, seed=0).regions
+        assert math.isnan(up.worst_delta) and math.isnan(down.worst_delta)
+        assert up.worst_point == down.worst_point == (xs[10], ys[10])
+        assert up.n_violations == int((delta < -SIGN_TOL).sum()) > 0
+        assert down.n_violations == int((delta > SIGN_TOL).sum()) > 0
